@@ -68,29 +68,25 @@
 //! directly). It prints a one-line run summary followed by the
 //! deterministic metric block, and exits `0` on success — the run itself
 //! asserts internal invariants (routing, horizon saturation, cross-shard
-//! merge order) and aborts loudly if any fail. With `--shards K` the run
-//! uses the sharded-world family (shard-count invariant for fixed seed);
-//! `--threads T` runs the shards on the simulator's worker pool behind its
-//! deterministic barrier merge — *everything printed to stdout is
-//! byte-identical for every thread count* (per-worker busy/barrier-wait
-//! wall-clock, which is inherently nondeterministic, goes to stderr), so
+//! merge order) and aborts loudly if any fail. `--shards K` partitions the
+//! simulated world into `K` shards, and `--threads T` runs them on the
+//! simulator's worker pool behind its deterministic barrier merge. Below
+//! the summary line, *everything printed to stdout is byte-identical for
+//! every shard and thread count* (per-worker busy/barrier-wait wall-clock,
+//! which is inherently nondeterministic, goes to stderr), so
 //! `diff <(dinefd extract --shards 4 --threads 4) <(dinefd extract
-//! --shards 4 --threads 1)` is a direct determinism check; `--queue heap`
-//! switches the event queue to the reference binary heap, which must
-//! reproduce the timer wheel byte-for-byte.
+//! --shards 4)` is a direct determinism check.
 //!
 //! ```text
 //! --n N                     system size             (default 8, min 2)
 //! --seed N                  run seed                (default 42)
 //! --horizon N               ticks to simulate       (default 5000)
-//! --shards K                sharded world, K shards (default 0 = classic)
-//! --threads T               worker threads for sharded runs (default 1;
+//! --shards K                simulate on K shards    (default 0 = one shard)
+//! --threads T               worker threads for the shards (default 1;
 //!                           needs --shards >= 2 to engage)
 //! --crash PID@TICK          crash PID at TICK (repeatable)
 //! --streaming               extract through the streaming sink
 //! --batch                   coalesce same-instant sends into envelopes
-//! --queue wheel|heap        event queue backend     (default wheel)
-//! --heap                    deprecated alias for --queue heap
 //! --strict                  sequence-checked acks (hardened subject)
 //! ```
 //!
@@ -140,8 +136,7 @@ const USAGE: &str = "usage: dinefd analyze [--wire-cap N] [--engine auto|explici
      [--max-steps N] [--corpus-seeds N] [--time-budget-secs N] \
      [--strict] [--no-crash] [--subject-mutation NAME] [--model-mutation NAME]\n\
      \x20      dinefd extract [--n N] [--seed N] [--horizon N] [--shards K] \
-     [--threads T] [--crash PID@TICK] [--streaming] [--batch] \
-     [--queue wheel|heap] [--strict]\n\
+     [--threads T] [--crash PID@TICK] [--streaming] [--batch] [--strict]\n\
      \x20      dinefd live [--n N] [--trials N] [--seed N] [--period-ms N] \
      [--crash-at-ms N] [--horizon-ms N] [--skip-matrix] [--bench-out FILE]";
 
@@ -282,7 +277,7 @@ fn fuzz(args: &[String]) -> ExitCode {
 
 fn extract(args: &[String]) -> ExitCode {
     use dinefd_core::{run_extraction, BlackBox};
-    use dinefd_sim::{CrashPlan, ProcessId, QueueBackend, Time};
+    use dinefd_sim::{CrashPlan, ProcessId, Time};
 
     let mut n: usize = 8;
     let mut seed: u64 = 42;
@@ -292,7 +287,6 @@ fn extract(args: &[String]) -> ExitCode {
     let mut crashes = CrashPlan::none();
     let mut streaming = false;
     let mut batch = false;
-    let mut queue = QueueBackend::Wheel;
     let mut strict = false;
     let mut it = args.iter();
     let parse_u64 = |name: &str, v: Option<&String>| -> Result<u64, String> {
@@ -339,20 +333,6 @@ fn extract(args: &[String]) -> ExitCode {
             }
             "--streaming" => streaming = true,
             "--batch" => batch = true,
-            "--queue" => {
-                let Some(name) = it.next() else {
-                    return usage("--queue needs a value (wheel | heap)");
-                };
-                queue = match name.as_str() {
-                    "wheel" => QueueBackend::Wheel,
-                    "heap" => QueueBackend::Heap,
-                    other => return usage(&format!("unknown queue backend `{other}`")),
-                };
-            }
-            "--heap" => {
-                eprintln!("warning: --heap is deprecated, use --queue heap");
-                queue = QueueBackend::Heap;
-            }
             "--strict" => strict = true,
             other => return usage(&format!("unknown flag `{other}`")),
         }
@@ -367,22 +347,16 @@ fn extract(args: &[String]) -> ExitCode {
     sc.streaming = streaming;
     sc.batch_envelopes = batch;
     sc.shards = shards;
-    sc.queue = queue;
     sc.strict_seq = strict;
     sc.threads = threads;
     if threads > 1 && shards < 2 {
-        return usage("--threads needs --shards >= 2 (the classic world is single-threaded)");
+        return usage("--threads needs --shards >= 2 (one shard runs on one thread)");
     }
     let res = run_extraction(sc);
 
     println!(
-        "extract: n={n} pairs={} horizon={horizon} shards={shards} queue={} \
-         streaming={streaming}",
+        "extract: n={n} pairs={} horizon={horizon} shards={shards} streaming={streaming}",
         n * (n - 1),
-        match queue {
-            QueueBackend::Wheel => "wheel",
-            QueueBackend::Heap => "heap",
-        },
     );
     println!(
         "extract: {} steps, {} messages, {} history changes, {} node-resident bytes",

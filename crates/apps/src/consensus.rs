@@ -153,14 +153,22 @@ impl ConsensusNode {
     }
 
     fn send_estimate(&mut self, ctx: &mut Context<'_, CMsg, ConsensusObs>) {
-        let c = self.coordinator(self.round);
-        let msg = CMsg::Estimate { round: self.round, est: self.est, adopted: self.adopted };
-        if c == self.me {
-            self.collect_estimate(ctx, self.round, self.est, self.adopted);
-        } else {
-            ctx.send(c, msg);
-        }
+        // Wait for the proposal *before* self-delivering the estimate: a
+        // coordinator whose own estimate completes the majority proposes
+        // at once, and must take its own proposal.
         self.waiting = Waiting::Proposal;
+        let round = self.round;
+        let c = self.coordinator(round);
+        if c != self.me {
+            ctx.send(c, CMsg::Estimate { round, est: self.est, adopted: self.adopted });
+        } else if let Some(&pick) = self.proposed.get(&round) {
+            // A majority of estimates for this round arrived before we
+            // did, so the proposal already went out: take it now, or we
+            // would wait forever for a proposal we sent.
+            self.handle_proposal(ctx, round, pick);
+        } else {
+            self.collect_estimate(ctx, round, self.est, self.adopted);
+        }
     }
 
     fn advance(&mut self, ctx: &mut Context<'_, CMsg, ConsensusObs>) {
@@ -398,5 +406,38 @@ mod tests {
         let plan = CrashPlan::one(ProcessId(2), Time(100));
         let out = run(&inputs, 5, plan.clone(), DelayModel::default_async(), Time(40_000));
         assert_uniform_valid(&out, &inputs, &plan);
+    }
+
+    /// Regression: a coordinator whose round's estimates reached a
+    /// majority *before* it entered that round proposed at once but could
+    /// not take its own proposal (it was still in an earlier round), and on
+    /// arriving it waited forever for the proposal it had already sent.
+    #[test]
+    fn late_coordinator_takes_the_proposal_it_already_sent() {
+        use dinefd_sim::Context;
+        let n = 3;
+        let fd: Rc<dyn FdQuery> = Rc::new(InjectedOracle::perfect(n, CrashPlan::none(), 1));
+        let mut p0 = ConsensusNode::new(ProcessId(0), n, 5, fd);
+        let (mut sends, mut timers, mut obs) = (Vec::new(), Vec::new(), Vec::new());
+        let mut rng = SplitMix64::new(1);
+        let mut step = |p0: &mut ConsensusNode, from: Option<(u32, CMsg)>| {
+            let mut ctx =
+                Context::new(ProcessId(0), Time(1), &mut sends, &mut timers, &mut obs, &mut rng);
+            match from {
+                None => p0.on_start(&mut ctx),
+                Some((q, msg)) => p0.on_message(&mut ctx, ProcessId(q), msg),
+            }
+        };
+        step(&mut p0, None);
+        // Round 3 (coordinated by p0) gets its majority while p0 is in round 0.
+        for q in [1, 2] {
+            step(&mut p0, Some((q, CMsg::Estimate { round: 3, est: 9, adopted: 0 })));
+        }
+        // p0 completes rounds 0, 1 and 2 and enters round 3 ...
+        step(&mut p0, Some((1, CMsg::Estimate { round: 0, est: 4, adopted: 0 })));
+        step(&mut p0, Some((1, CMsg::Propose { round: 1, est: 5 })));
+        step(&mut p0, Some((2, CMsg::Propose { round: 2, est: 5 })));
+        // ... where it must take its own round-3 proposal and move on.
+        assert_eq!(p0.round(), 4, "p0 stuck waiting in round {}", p0.round());
     }
 }

@@ -1,6 +1,6 @@
-//! End-to-end tests of the `dinefd` binary's flag surface: the
-//! `--queue wheel|heap` backend selector (with its deprecated `--heap`
-//! alias) and the `live` subcommand's soak + bench-report path.
+//! End-to-end tests of the `dinefd` binary's flag surface: the `extract`
+//! shard-count determinism contract and the `live` subcommand's soak +
+//! bench-report path.
 
 use std::process::{Command, Output};
 
@@ -16,51 +16,36 @@ fn stderr(out: &Output) -> String {
     String::from_utf8_lossy(&out.stderr).into_owned()
 }
 
-/// Stdout minus the first summary line, which echoes the selected backend
-/// (`queue=wheel` vs `queue=heap`) and so differs by construction; every
-/// simulation-derived line below it must be byte-identical.
+/// Stdout minus the first summary line, which echoes the shard count and
+/// so differs by construction; every simulation-derived line below it must
+/// be byte-identical.
 fn body(out: &Output) -> String {
     let s = stdout(out);
     s.split_once('\n').map(|(_, rest)| rest.to_owned()).unwrap_or(s)
 }
 
-const EXTRACT_BASE: [&str; 6] = ["extract", "--n", "4", "--horizon", "400", "--seed"];
-
 #[test]
-fn queue_heap_reproduces_the_wheel_byte_for_byte() {
-    let wheel = dinefd(&[&EXTRACT_BASE[..], &["7", "--queue", "wheel"]].concat());
-    let heap = dinefd(&[&EXTRACT_BASE[..], &["7", "--queue", "heap"]].concat());
-    assert!(wheel.status.success(), "wheel run failed: {}", stderr(&wheel));
-    assert!(heap.status.success(), "heap run failed: {}", stderr(&heap));
-    assert_eq!(body(&wheel), body(&heap), "queue backends must not diverge");
-    assert!(stdout(&wheel).contains("queue=wheel"));
-    assert!(stdout(&heap).contains("queue=heap"));
-    assert!(!stderr(&wheel).contains("deprecated"), "--queue must not warn");
-    assert!(!stderr(&heap).contains("deprecated"), "--queue must not warn");
+fn extract_body_is_identical_for_every_shard_count() {
+    let base = ["extract", "--n", "4", "--horizon", "400", "--seed", "7", "--crash", "2@200"];
+    let run = |shards: &str| {
+        let out = dinefd(&[&base[..], &["--shards", shards]].concat());
+        assert!(out.status.success(), "--shards {shards} failed: {}", stderr(&out));
+        assert!(stdout(&out).contains(&format!("shards={shards} ")));
+        body(&out)
+    };
+    let one = run("1");
+    assert!(one.contains("steps = "), "the body carries the metric block: {one}");
+    assert_eq!(run("0"), one, "--shards 0 must match --shards 1");
+    assert_eq!(run("4"), one, "--shards 4 must match --shards 1");
 }
 
 #[test]
-fn deprecated_heap_alias_still_works_but_warns() {
-    let alias = dinefd(&[&EXTRACT_BASE[..], &["7", "--heap"]].concat());
-    let spelled = dinefd(&[&EXTRACT_BASE[..], &["7", "--queue", "heap"]].concat());
-    assert!(alias.status.success(), "--heap run failed: {}", stderr(&alias));
-    assert_eq!(stdout(&alias), stdout(&spelled), "alias must select the same backend");
-    assert!(stdout(&alias).contains("queue=heap"), "alias must report the heap backend");
-    assert!(
-        stderr(&alias).contains("--heap is deprecated"),
-        "alias must warn on stderr: {}",
-        stderr(&alias)
-    );
-}
-
-#[test]
-fn unknown_queue_backend_is_a_usage_error() {
-    let out = dinefd(&["extract", "--queue", "splay"]);
-    assert_eq!(out.status.code(), Some(64));
-    assert!(stderr(&out).contains("unknown queue backend"));
-
-    let missing = dinefd(&["extract", "--queue"]);
-    assert_eq!(missing.status.code(), Some(64));
+fn removed_queue_flags_are_usage_errors() {
+    for flag in [&["--queue", "heap"][..], &["--heap"][..]] {
+        let out = dinefd(&[&["extract"][..], flag].concat());
+        assert_eq!(out.status.code(), Some(64), "{flag:?}");
+        assert!(stderr(&out).contains("unknown flag"), "{flag:?}: {}", stderr(&out));
+    }
 }
 
 #[test]

@@ -248,7 +248,7 @@ fn scale_table(
 
 /// The n ≥ 128 sharded frontier. One seed per size (each run is expensive
 /// but deterministic), streaming + envelope batching + `shards`-way
-/// [`dinefd_sim::ShardedWorld`]s, and a full streaming-vs-post-hoc
+/// [`dinefd_sim::World`]s, and a full streaming-vs-post-hoc
 /// differential at every size: both modes must agree on step and message
 /// counts, the metric export, and the extracted history.
 fn frontier_table(sizes: &[(usize, u64)], shards: usize, metrics: &mut MetricMap) -> Table {

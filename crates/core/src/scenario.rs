@@ -4,7 +4,6 @@
 //! This is the API the examples, integration tests, and the experiment
 //! harness (`dinefd-bench`) all drive.
 
-use std::rc::Rc;
 use std::sync::{Arc, Mutex};
 
 use dinefd_dining::abstract_dining::AbstractDining;
@@ -14,11 +13,10 @@ use dinefd_dining::hygienic::HygienicDining;
 use dinefd_dining::unfair::UnfairDining;
 use dinefd_dining::wfdx::WfDxDining;
 use dinefd_dining::DiningParticipant;
-use dinefd_fd::SuspicionHistory as FdHistory;
 use dinefd_fd::{FdQuery, InjectedOracle, SuspicionHistory};
 use dinefd_sim::{
-    CrashPlan, DelayModel, MetricMap, ObsSink, ProcessId, Profiler, QueueBackend, ShardedWorld,
-    SplitMix64, Time, Trace, WorkerStats, World, WorldConfig,
+    CrashPlan, DelayModel, MetricMap, ObsSink, ProcessId, Profiler, QueueBackend, SplitMix64, Time,
+    Trace, WorkerStats, World, WorldConfig,
 };
 
 use crate::detector::{suspicion_history, HistorySink, PairTimelines};
@@ -119,8 +117,8 @@ pub struct Scenario {
     pub strict_seq: bool,
     /// Self-tick period of the reduction nodes (scheduling granularity).
     pub tick_every: u64,
-    /// Fold the suspicion history online through a
-    /// [`crate::detector::HistorySink`] instead of materializing
+    /// Fold the suspicion history online through one
+    /// [`crate::detector::HistorySink`] per shard instead of materializing
     /// observation events in the trace: `O(pairs + changes)` resident
     /// memory, but [`ExtractionResult::pair_timelines`] becomes empty.
     pub streaming: bool,
@@ -129,24 +127,17 @@ pub struct Scenario {
     /// default — it changes delay sampling, hence schedules, under
     /// stochastic delay models.
     pub batch_envelopes: bool,
-    /// Run on a [`ShardedWorld`] partitioned into this many shards instead
-    /// of a classic [`World`]. `0` (the default) means the classic world;
-    /// any `k ≥ 1` selects the sharded family, whose schedules are
-    /// shard-count invariant but differ from the classic world's (the
-    /// sharded family draws per-sender delay streams). Requires a cloneable
-    /// delay model (everything but `Scripted`).
+    /// Partition the simulated [`World`] into this many shards. `0` (the
+    /// default) and `1` both mean one shard; the schedule, hence every
+    /// result, is the same for every shard count.
     pub shards: usize,
-    /// Event-queue backend of the classic world (ignored by the sharded
-    /// family, which always runs per-shard timer wheels). Wheel and heap
-    /// produce byte-identical runs; the knob exists for differential
-    /// assertion.
+    /// No-op: the simulator always runs timer wheels (see
+    /// [`QueueBackend`], which says why the field still exists).
     pub queue: QueueBackend,
-    /// Worker threads for the sharded family: with `threads ≥ 2` and
-    /// `shards ≥ 2` the run executes on the simulator's shard-worker pool
-    /// behind its deterministic barrier merge (byte-identical results for
-    /// any thread count), and streaming extraction folds one
-    /// [`HistorySink`] per shard, merged deterministically at the end.
-    /// Ignored by the classic world.
+    /// Worker threads: with `threads ≥ 2` and `shards ≥ 2` the run
+    /// executes on the simulator's shard-worker pool behind its
+    /// deterministic barrier merge (byte-identical results for any thread
+    /// count). Ignored by a one-shard world.
     pub threads: usize,
 }
 
@@ -253,7 +244,7 @@ pub struct ExtractionResult {
     /// calling [`Profiler::report`].
     pub profiler: Profiler,
     /// Per-worker busy/barrier-wait wall-clock from parallel sharded runs;
-    /// empty for classic or single-threaded runs. Wall-clock is inherently
+    /// empty for sequential runs. Wall-clock is inherently
     /// nondeterministic — report it outside any determinism-diffed section.
     pub worker_stats: Vec<WorkerStats>,
 }
@@ -303,6 +294,11 @@ pub fn factory_for(black_box: BlackBox) -> impl Fn(DxEndpoint) -> Box<dyn Dining
 /// // …after finitely many mistakes while it was alive.
 /// assert!(res.history.mistake_intervals(ProcessId(0), ProcessId(1)) >= 1);
 /// ```
+///
+/// # Panics
+///
+/// If a monitoring pair in [`Scenario::pairs`] names a process outside
+/// `0..n`; the message names the pair.
 pub fn run_extraction(sc: Scenario) -> ExtractionResult {
     let Scenario {
         n,
@@ -322,6 +318,9 @@ pub fn run_extraction(sc: Scenario) -> ExtractionResult {
         threads,
     } = sc;
     let pairs = if pairs.is_empty() { all_ordered_pairs(n) } else { pairs };
+    if let Some((w, s)) = pairs.iter().find(|(w, s)| w.index() >= n || s.index() >= n) {
+        panic!("monitoring pair ({w}, {s}) names a process outside the {n}-process system");
+    }
     let mut rng = SplitMix64::new(seed ^ 0xD1CE_F00D);
     let oracle: Arc<dyn FdQuery + Send + Sync> =
         Arc::new(oracle.build(n, crashes.clone(), &mut rng));
@@ -333,12 +332,8 @@ pub fn run_extraction(sc: Scenario) -> ExtractionResult {
     let mut watched_by: Vec<Vec<ProcessId>> = vec![Vec::new(); n];
     for &(w, s) in &pairs {
         if w != s {
-            if w.index() < n {
-                watch[w.index()].push(s);
-            }
-            if s.index() < n {
-                watched_by[s.index()].push(w);
-            }
+            watch[w.index()].push(s);
+            watched_by[s.index()].push(w);
         }
     }
     let nodes: Vec<ReductionNode> = ProcessId::all(n)
@@ -356,6 +351,7 @@ pub fn run_extraction(sc: Scenario) -> ExtractionResult {
         })
         .collect();
     let node_resident_bytes: u64 = nodes.iter().map(|nd| nd.resident_bytes() as u64).sum();
+    let shards = shards.max(1);
     let mut cfg = WorldConfig::new(seed)
         .delays(delays)
         .crashes(crashes.clone())
@@ -364,114 +360,66 @@ pub fn run_extraction(sc: Scenario) -> ExtractionResult {
     if batch_envelopes {
         cfg = cfg.batch_envelopes();
     }
-    let mut profiler = Profiler::new();
-    if streaming {
-        // Fold observations into the history as the simulator routes them;
-        // keep the trace free of observation events so the run's resident
-        // footprint is O(pairs + suspicion changes), not O(run length).
+    // Streaming folds observations into one `HistorySink` per shard as the
+    // simulator routes them, and keeps the trace free of observation
+    // events, so the run's resident footprint is O(pairs + suspicion
+    // changes), not O(run length). Each sink travels with its shard (onto
+    // its worker thread, in parallel runs) and folds that shard's watcher
+    // rows.
+    let (world, handles) = if streaming {
+        let handles: Vec<Arc<Mutex<HistorySink>>> =
+            (0..shards).map(|_| Arc::new(Mutex::new(HistorySink::new(n, &pairs)))).collect();
+        let sinks = handles
+            .iter()
+            .map(|h| Box::new(Arc::clone(h)) as Box<dyn ObsSink<RedObs> + Send>)
+            .collect();
         let cfg = cfg.observation_events_off();
-        let (steps, messages_sent, metrics, trace, worker_stats, history) = if shards >= 2
-            && threads >= 2
-        {
-            // Parallel sharded run: one sink per shard travels with its
-            // worker thread and folds that shard's watcher rows; the
-            // merge afterwards reassembles the sequential history row
-            // for row (see `SuspicionHistory::adopt_watcher_rows`).
-            let handles: Vec<Arc<Mutex<HistorySink>>> =
-                (0..shards).map(|_| Arc::new(Mutex::new(HistorySink::new(n, &pairs)))).collect();
-            let sinks: Vec<Box<dyn ObsSink<RedObs> + Send>> = handles
-                .iter()
-                .map(|h| Box::new(Arc::clone(h)) as Box<dyn ObsSink<RedObs> + Send>)
-                .collect();
-            let mut world = ShardedWorld::try_new_with_shard_sinks(nodes, cfg, shards, sinks)
-                .unwrap_or_else(|e| panic!("{e}"));
-            profiler.time("simulate", || world.run_until(horizon));
-            let stats = world.worker_stats().to_vec();
-            let (steps, sent, metrics, trace) =
-                (world.steps(), world.messages_sent(), world.metrics_map(), world.into_trace());
-            let history = profiler.time("extract", || {
-                let mut merged = FdHistory::new(n, true);
-                merged.restrict_to(&pairs);
-                for (s, handle) in handles.into_iter().enumerate() {
-                    let sink = Arc::try_unwrap(handle)
-                        .expect("world dropped its sink handles")
-                        .into_inner()
-                        .expect("sink lock poisoned");
-                    merged.adopt_watcher_rows(
-                        &sink.finish(),
-                        (s..n).step_by(shards).map(ProcessId::from_index),
-                    );
-                }
-                merged
-            });
-            (steps, sent, metrics, trace, stats, history)
-        } else {
-            let sink = Rc::new(std::cell::RefCell::new(HistorySink::new(n, &pairs)));
-            let handle = Rc::clone(&sink);
-            let (steps, sent, metrics, trace) = if shards > 0 {
-                let mut world = ShardedWorld::new_with_sink(nodes, cfg, shards, Box::new(handle));
-                profiler.time("simulate", || world.run_until(horizon));
-                (world.steps(), world.messages_sent(), world.metrics_map(), world.into_trace())
-            } else {
-                let mut world = World::new_with_sink(nodes, cfg, Box::new(handle));
-                profiler.time("simulate", || world.run_until(horizon));
-                (world.steps(), world.messages_sent(), world.metrics_map(), world.into_trace())
-            };
-            let history = profiler.time("extract", || {
-                Rc::try_unwrap(sink).expect("world dropped its sink handle").into_inner().finish()
-            });
-            (steps, sent, metrics, trace, Vec::new(), history)
-        };
-        let history_changes = history.change_count();
-        ExtractionResult {
-            history,
-            trace,
-            streaming: true,
-            history_changes,
-            crashes,
-            n,
-            horizon,
-            steps,
-            messages_sent,
-            node_resident_bytes,
-            metrics,
-            profiler,
-            worker_stats,
-        }
+        (World::try_new_with_shard_sinks(nodes, cfg, shards, sinks), handles)
     } else {
-        let (steps, messages_sent, metrics, trace, worker_stats) = if shards > 0 {
-            let mut world = ShardedWorld::new(nodes, cfg, shards);
-            profiler.time("simulate", || world.run_until(horizon));
-            let stats = world.worker_stats().to_vec();
-            (world.steps(), world.messages_sent(), world.metrics_map(), world.into_trace(), stats)
-        } else {
-            let mut world = World::new(nodes, cfg);
-            profiler.time("simulate", || world.run_until(horizon));
-            (
-                world.steps(),
-                world.messages_sent(),
-                world.metrics_map(),
-                world.into_trace(),
-                Vec::new(),
-            )
-        };
-        let history = profiler.time("extract", || suspicion_history(n, &trace, &pairs));
-        let history_changes = history.change_count();
-        ExtractionResult {
-            history,
-            trace,
-            streaming: false,
-            history_changes,
-            crashes,
-            n,
-            horizon,
-            steps,
-            messages_sent,
-            node_resident_bytes,
-            metrics,
-            profiler,
-            worker_stats,
+        (World::try_new(nodes, cfg, shards), Vec::new())
+    };
+    let mut world = world.expect("at least one shard");
+    let mut profiler = Profiler::new();
+    profiler.time("simulate", || world.run_until(horizon));
+    let worker_stats = world.worker_stats().to_vec();
+    let (steps, messages_sent, metrics, trace) =
+        (world.steps(), world.messages_sent(), world.metrics_map(), world.into_trace());
+    let history = profiler.time("extract", || {
+        if !streaming {
+            return suspicion_history(n, &trace, &pairs);
         }
+        // A watcher's observations all surface on its own shard, so
+        // adopting each later shard's watcher rows into shard 0's fold
+        // reassembles the sequential history row for row (see
+        // `SuspicionHistory::adopt_watcher_rows`).
+        let mut folds = handles.into_iter().map(|handle| {
+            Arc::try_unwrap(handle)
+                .expect("world dropped its sink handles")
+                .into_inner()
+                .expect("sink lock poisoned")
+                .finish()
+        });
+        let mut merged = folds.next().expect("at least one shard");
+        for (s, fold) in (1..).zip(folds) {
+            merged.adopt_watcher_rows(&fold, (s..n).step_by(shards).map(ProcessId::from_index));
+        }
+        merged
+    });
+    let history_changes = history.change_count();
+    ExtractionResult {
+        history,
+        trace,
+        streaming,
+        history_changes,
+        crashes,
+        n,
+        horizon,
+        steps,
+        messages_sent,
+        node_resident_bytes,
+        metrics,
+        profiler,
+        worker_stats,
     }
 }
 
@@ -535,39 +483,64 @@ mod tests {
     }
 
     #[test]
-    fn sharded_extraction_is_shard_count_invariant() {
-        // The sharded family's schedule must not depend on the shard count:
-        // 1 shard is the family's reference, and every k must reproduce its
-        // history, step/message counts, and metric export byte-for-byte.
-        let run = |shards: usize| {
-            let mut sc = Scenario::all_pairs(3, BlackBox::WfDx, 23);
-            sc.horizon = Time(6_000);
-            sc.crashes = CrashPlan::one(ProcessId(2), Time(3_000));
-            sc.shards = shards;
-            let res = run_extraction(sc);
-            (res.steps, res.messages_sent, format!("{:?}", res.history), res.metrics)
+    fn extraction_is_shard_count_invariant() {
+        // The schedule must not depend on the shard count: the one-shard
+        // world (`shards = 0`, what `World::new` builds) is the reference,
+        // and every k must reproduce its history, step/message counts, and
+        // metric export byte-for-byte — under a stochastic and a scripted
+        // delay model.
+        let staller = || {
+            DelayModel::Scripted(Box::new(dinefd_sim::net::ChannelStaller {
+                stalled: vec![(ProcessId(1), ProcessId(0)), (ProcessId(2), ProcessId(1))],
+                release_at: Time(2_000),
+                benign_hi: 8,
+            }))
         };
-        let reference = run(1);
-        for shards in [2, 4] {
-            assert_eq!(run(shards), reference, "shards={shards}");
+        for delays in [DelayModel::default_async, staller] {
+            let run = |shards: usize| {
+                let mut sc = Scenario::all_pairs(3, BlackBox::WfDx, 23);
+                sc.horizon = Time(6_000);
+                sc.crashes = CrashPlan::one(ProcessId(2), Time(3_000));
+                sc.delays = delays();
+                sc.shards = shards;
+                let res = run_extraction(sc);
+                (res.steps, res.messages_sent, format!("{:?}", res.history), res.metrics)
+            };
+            let reference = run(0);
+            for shards in [1, 2, 4] {
+                assert_eq!(run(shards), reference, "shards={shards} delays={}", delays().kind());
+            }
         }
     }
 
+    /// Regression: a pair naming a process ≥ n was dropped from the watch
+    /// lists but still indexed `w·n + s` in the history, aliasing onto
+    /// another pair — (p0, p5) at n = 3 marked (p1, p2) as monitored.
     #[test]
-    fn sharded_streaming_matches_sharded_post_hoc() {
+    #[should_panic(expected = "monitoring pair (p0, p5) names a process outside")]
+    fn out_of_range_pairs_are_rejected_by_name() {
+        let mut sc = Scenario::all_pairs(3, BlackBox::WfDx, 7);
+        sc.pairs = vec![(ProcessId(0), ProcessId(1)), (ProcessId(0), ProcessId(5))];
+        run_extraction(sc);
+    }
+
+    #[test]
+    fn streaming_matches_post_hoc_on_every_shard_count() {
         // Streaming folds the same observation stream the post-hoc trace
-        // carries, so the extracted histories must agree exactly — also on
-        // sharded worlds.
-        let run = |streaming: bool| {
-            let mut sc = Scenario::all_pairs(3, BlackBox::WfDx, 29);
-            sc.horizon = Time(6_000);
-            sc.crashes = CrashPlan::one(ProcessId(1), Time(3_000));
-            sc.shards = 2;
-            sc.streaming = streaming;
-            let res = run_extraction(sc);
-            (res.steps, res.messages_sent, format!("{:?}", res.history))
-        };
-        assert_eq!(run(true), run(false));
+        // carries, so the extracted histories must agree exactly — whether
+        // one per-shard sink folds everything or several split the rows.
+        for shards in [1, 2] {
+            let run = |streaming: bool| {
+                let mut sc = Scenario::all_pairs(3, BlackBox::WfDx, 29);
+                sc.horizon = Time(6_000);
+                sc.crashes = CrashPlan::one(ProcessId(1), Time(3_000));
+                sc.shards = shards;
+                sc.streaming = streaming;
+                let res = run_extraction(sc);
+                (res.steps, res.messages_sent, format!("{:?}", res.history))
+            };
+            assert_eq!(run(true), run(false), "shards={shards}");
+        }
     }
 
     #[test]
@@ -614,20 +587,6 @@ mod tests {
         let stats = run(4);
         assert_eq!(stats.len(), 4);
         assert!(stats.iter().all(|w| w.instants.get() > 0));
-    }
-
-    #[test]
-    fn heap_queue_reproduces_wheel_runs() {
-        // The classic world's two queue backends are drop-in replacements:
-        // byte-identical histories and metric exports.
-        let run = |queue: QueueBackend| {
-            let mut sc = Scenario::pair(BlackBox::WfDx, 37);
-            sc.horizon = Time(8_000);
-            sc.queue = queue;
-            let res = run_extraction(sc);
-            (res.steps, res.messages_sent, format!("{:?}", res.history), res.metrics)
-        };
-        assert_eq!(run(QueueBackend::Wheel), run(QueueBackend::Heap));
     }
 
     #[test]

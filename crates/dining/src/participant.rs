@@ -139,7 +139,7 @@ impl fmt::Debug for DiningIo<'_> {
 ///
 /// `Send` is a supertrait so that reduction hosts holding boxed
 /// participants can ride the parallel shard workers of
-/// `dinefd_sim::ShardedWorld`; participants are self-contained state
+/// `dinefd_sim::World`; participants are self-contained state
 /// machines, so the bound costs implementations nothing.
 pub trait DiningParticipant: fmt::Debug + Send {
     /// The local client became hungry.

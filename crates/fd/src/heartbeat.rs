@@ -266,9 +266,12 @@ mod tests {
     #[test]
     fn harsh_prefix_actually_produces_mistakes_some_seed() {
         // Sanity that the test above is non-vacuous: some seed exhibits at
-        // least one wrongful suspicion before convergence.
+        // least one wrongful suspicion before convergence. Such a mistake
+        // needs several consecutive 5% delay spikes on one channel, so only
+        // about one seed in ten shows one; 32 seeds keep the check from
+        // resting on a single lucky schedule.
         let mut total_mistakes = 0;
-        for seed in 0..8 {
+        for seed in 0..32 {
             let delays = DelayModel::partially_synchronous(Time(3_000), 6);
             let (hist, _) = run_system(3, seed, CrashPlan::none(), delays, Time(30_000));
             for w in ProcessId::all(3) {

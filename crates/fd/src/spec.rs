@@ -167,9 +167,19 @@ impl SuspicionHistory {
 
     /// Restricts the checkers to the given ordered pairs; all other pairs
     /// are treated as out of scope.
+    ///
+    /// # Panics
+    ///
+    /// If a pair names a process outside `0..n` (it would alias onto
+    /// another pair's slot); the message names the pair.
     pub fn restrict_to(&mut self, pairs: &[(ProcessId, ProcessId)]) {
         self.monitored = vec![false; self.n * self.n];
         for &(w, s) in pairs {
+            let n = self.n;
+            assert!(
+                w.index() < n && s.index() < n,
+                "pair ({w}, {s}) names a process outside the {n}-process history"
+            );
             self.monitored[w.index() * self.n + s.index()] = true;
         }
     }
@@ -687,5 +697,15 @@ mod tests {
         h.record(Time(7), p(0), p(1), true);
         h.record(Time(9), p(0), p(1), false);
         assert_eq!(h.mistake_intervals(p(0), p(1)), 2);
+    }
+
+    /// Regression: an out-of-range pair used to index `w·n + s` unchecked
+    /// and silently mark another pair monitored — (p0, p5) at n = 3 landed
+    /// on (p1, p2).
+    #[test]
+    #[should_panic(expected = "pair (p0, p5) names a process outside the 3-process history")]
+    fn restrict_to_rejects_out_of_range_pairs() {
+        let mut h = SuspicionHistory::new(3, true);
+        h.restrict_to(&[(p(0), p(1)), (p(0), p(5))]);
     }
 }

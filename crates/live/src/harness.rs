@@ -152,8 +152,9 @@ impl DiffReport {
 }
 
 /// Sim-side mirror of [`LinkFault::ramping_delay`]: delay shrinks linearly
-/// from `delay` at t=0 to the post-GST bound at GST.
-#[derive(Debug)]
+/// from `delay` at t=0 to the post-GST bound at GST. Stateless, so the
+/// simulator's per-sender copies behave like one shared instance.
+#[derive(Clone, Debug)]
 struct RampAdversary {
     gst: u64,
     delay: u64,
@@ -166,6 +167,10 @@ impl Adversary for RampAdversary {
         }
         let remaining = self.gst - now.0;
         (self.delay.saturating_mul(remaining) / self.gst.max(1)).max(1)
+    }
+
+    fn box_clone(&self) -> Box<dyn Adversary> {
+        Box::new(self.clone())
     }
 }
 

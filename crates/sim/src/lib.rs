@@ -19,12 +19,16 @@
 //! The simulator implements exactly these axioms as a deterministic
 //! discrete-event machine:
 //!
-//! * [`world::World`] owns a set of [`node::Node`]s and an event queue keyed
-//!   by virtual [`time::Time`] (the paper's clock `T`);
+//! * [`World`] owns a set of [`node::Node`]s and per-shard timer wheels
+//!   ([`wheel::TimerWheel`]) of events keyed by virtual [`time::Time`] (the
+//!   paper's clock `T`). It is the one simulator engine: one shard by
+//!   default, `k` shards on request ([`shard`] explains why the schedule is
+//!   the same for every `k`, and how shards run on worker threads);
 //! * sends are assigned delivery delays by a pluggable [`net::DelayModel`]
 //!   (uniform, heavy-tailed, partially synchronous with a global
-//!   stabilization time, or a scripted adversary) — varying delays make the
-//!   channels non-FIFO while event-queue delivery keeps them reliable;
+//!   stabilization time, or a scripted adversary), one copy per sender —
+//!   varying delays make the channels non-FIFO while queued delivery keeps
+//!   them reliable;
 //! * [`fault::CrashPlan`] injects crash faults at chosen instants; events of
 //!   a crashed process are discarded, so it "ceases execution without
 //!   warning";
@@ -42,9 +46,10 @@
 //! event loop; [`metrics::Profiler`] splits experiment wall-clock into
 //! phases. Both feed the machine-readable `BENCH_*.json` perf reports.
 //!
-//! Streaming: a [`world::ObsSink`] attached via [`world::World::new_with_sink`]
-//! receives every observation as it is routed, so consumers can fold run
-//! output online instead of materializing the full trace; combined with
+//! Streaming: a [`world::ObsSink`] attached via [`World::new_with_sink`]
+//! (or one per shard, via [`World::try_new_with_shard_sinks`]) receives
+//! every observation as it is routed, so consumers can fold run output
+//! online instead of materializing the full trace; combined with
 //! [`world::WorldConfig::observation_events_off`] the run's resident
 //! footprint no longer grows with its length. Optional *envelope batching*
 //! ([`world::WorldConfig::batch_envelopes`], off by default) coalesces all
@@ -94,8 +99,8 @@ pub use node::{Context, Node, TimerId};
 pub use props::{stabilization_time, BoolTimeline};
 pub use rng::SplitMix64;
 pub use scenario_dsl::{Scenario as ScenarioDoc, ScenarioError};
-pub use shard::{ShardBuildError, ShardedWorld};
+pub use shard::{ShardBuildError, ShardedWorld, World};
 pub use stats::Summary;
 pub use time::Time;
 pub use trace::{Trace, TraceEvent};
-pub use world::{ObsSink, World, WorldConfig};
+pub use world::{ObsSink, WorldConfig};

@@ -97,7 +97,7 @@ impl Gauge {
     /// the max of the two marks — a *lower bound* on the true high water of
     /// the combined level, since the two peaks need not coincide in time.
     /// Callers needing the exact combined high water must track a combined
-    /// gauge live (see `crate::shard::ShardedWorld`'s global depth gauge).
+    /// gauge live (see `crate::World`'s global depth gauge).
     pub fn absorb(&mut self, other: &Gauge) {
         self.current += other.current;
         self.high_water = self.high_water.max(other.high_water);
@@ -250,9 +250,9 @@ impl Histogram {
 
 /// Everything one simulated [`crate::world::World`] run counts.
 ///
-/// Owned by the world and updated inline on the serial event loop; read it
-/// through [`crate::world::World::metrics`]. All fields are logical
-/// quantities, so equal seeds produce equal metric sets.
+/// Each shard of a world owns one, updated inline on its event loop; read
+/// the merged set through [`crate::world::World::metrics`]. All fields are
+/// logical quantities, so equal seeds produce equal metric sets.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SimMetrics {
     /// Atomic steps dispatched (start + message + timer steps).

@@ -26,17 +26,39 @@ use crate::time::Time;
 /// reorder aggressively, or correlate delays across channels — anything goes
 /// as long as the returned delay is finite, which the trait cannot violate.
 ///
+/// **Adversary state is per sender.** The simulator gives every process its
+/// own copy of the configured [`DelayModel`] (via [`Adversary::box_clone`]
+/// for a scripted one) and its own delay RNG, so the draws one sender makes
+/// never depend on how the others are interleaved — the property that makes
+/// a run independent of its shard count. An adversary that correlates
+/// delays across senders must therefore do so through its configuration
+/// (e.g. a shared release time), not through mutable state.
+///
 /// `Send` is a supertrait so that a [`DelayModel`] (which may box an
-/// adversary) can move into the shard-worker threads of
-/// [`crate::shard::ShardedWorld`]; adversaries are plain state machines, so
-/// this costs implementations nothing.
+/// adversary) can move into the simulator's shard-worker threads;
+/// adversaries are plain state machines, so this costs implementations
+/// nothing.
 pub trait Adversary: std::fmt::Debug + Send {
     /// Delay, in ticks, for a message sent `from → to` at time `now`.
     fn delay(&mut self, from: ProcessId, to: ProcessId, now: Time, rng: &mut SplitMix64) -> u64;
+
+    /// A boxed copy of this adversary in its current state — the per-sender
+    /// copy the simulator takes at construction, before any draw.
+    fn box_clone(&self) -> Box<dyn Adversary>;
+}
+
+impl Clone for Box<dyn Adversary> {
+    fn clone(&self) -> Self {
+        self.box_clone()
+    }
 }
 
 /// Per-message delivery-delay policy.
-#[derive(Debug)]
+///
+/// `Clone` copies the model's state too; the simulator clones the
+/// configured model once per sender before any sample is drawn, so every
+/// copy starts fresh (empty [`DelayModel::Fifo`] floors included).
+#[derive(Clone, Debug)]
 pub enum DelayModel {
     /// Every message takes exactly `d` ticks (a synchronous network).
     Fixed(u64),
@@ -146,40 +168,6 @@ impl DelayModel {
         }
     }
 
-    /// A fresh, state-independent copy of this model, or `None` for
-    /// [`DelayModel::Scripted`] (a boxed adversary has no generic clone).
-    ///
-    /// "Fresh" matters for [`DelayModel::Fifo`]: the copy starts with empty
-    /// per-channel floors, so it is only equivalent to the original *before
-    /// any sample is drawn*. [`crate::shard::ShardedWorld`] clones the
-    /// configured model once per process at construction — giving every
-    /// sender its own delay state is what makes the schedule independent of
-    /// the shard count.
-    pub fn try_clone(&self) -> Option<DelayModel> {
-        Some(match self {
-            DelayModel::Fixed(d) => DelayModel::Fixed(*d),
-            DelayModel::Uniform { lo, hi } => DelayModel::Uniform { lo: *lo, hi: *hi },
-            DelayModel::HeavyTail { lo, hi, spike_num, spike_den, spike_hi } => {
-                DelayModel::HeavyTail {
-                    lo: *lo,
-                    hi: *hi,
-                    spike_num: *spike_num,
-                    spike_den: *spike_den,
-                    spike_hi: *spike_hi,
-                }
-            }
-            DelayModel::PartialSync { gst, pre, bound } => DelayModel::PartialSync {
-                gst: *gst,
-                pre: Box::new(pre.try_clone()?),
-                bound: *bound,
-            },
-            DelayModel::Scripted(_) => return None,
-            DelayModel::Fifo { inner, .. } => {
-                DelayModel::Fifo { inner: Box::new(inner.try_clone()?), floors: HashMap::new() }
-            }
-        })
-    }
-
     /// Samples a delay for one message. Always at least 1 tick.
     pub fn sample(
         &mut self,
@@ -237,8 +225,9 @@ impl DelayModel {
 /// An adversary that delays messages on selected ordered channels by a large
 /// constant until a release time, and is benign elsewhere — handy for
 /// constructing worst-case finite prefixes (e.g. making a failure detector
-/// look bad for as long as the model permits).
-#[derive(Debug)]
+/// look bad for as long as the model permits). Stateless, so its per-sender
+/// copies behave exactly like one shared instance.
+#[derive(Clone, Debug)]
 pub struct ChannelStaller {
     /// Ordered pairs whose messages are stalled.
     pub stalled: Vec<(ProcessId, ProcessId)>,
@@ -258,6 +247,10 @@ impl Adversary for ChannelStaller {
         } else {
             rng.range(1, self.benign_hi.max(1))
         }
+    }
+
+    fn box_clone(&self) -> Box<dyn Adversary> {
+        Box::new(self.clone())
     }
 }
 
@@ -401,32 +394,32 @@ mod tests {
     }
 
     #[test]
-    fn try_clone_copies_everything_but_scripted() {
+    fn clones_sample_like_their_original() {
+        let staller =
+            ChannelStaller { stalled: vec![(p(0), p(1))], release_at: Time(300), benign_hi: 6 };
         let models = [
             DelayModel::Fixed(3),
             DelayModel::default_async(),
             DelayModel::harsh(),
             DelayModel::partially_synchronous(Time(100), 5),
             DelayModel::fifo(DelayModel::harsh()),
+            DelayModel::Scripted(Box::new(staller)),
         ];
-        for m in models {
-            let mut clone = m.try_clone().expect("stateless models clone");
-            assert_eq!(clone.kind(), m.kind());
-            // A fresh clone samples identically to the original under the
-            // same RNG stream (no hidden state carried over).
-            let mut orig = m.try_clone().unwrap();
+        for mut orig in models {
+            let mut clone = orig.clone();
+            assert_eq!(clone.kind(), orig.kind());
+            // Under the same RNG stream a clone draws exactly what the
+            // original draws.
             let (mut r1, mut r2) = (SplitMix64::new(9), SplitMix64::new(9));
             for t in 0..200u64 {
                 assert_eq!(
                     orig.sample(p(0), p(1), Time(t * 3), &mut r1),
                     clone.sample(p(0), p(1), Time(t * 3), &mut r2),
                     "{} clone diverged",
-                    m.kind()
+                    orig.kind()
                 );
             }
         }
-        let staller = ChannelStaller { stalled: vec![], release_at: Time(1), benign_hi: 1 };
-        assert!(DelayModel::Scripted(Box::new(staller)).try_clone().is_none());
     }
 
     #[test]

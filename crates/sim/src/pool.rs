@@ -4,7 +4,7 @@
 //! Three subsystems fan work out over OS threads — the lemma explorer's
 //! work-stealing search (`dinefd-explore`), the experiment harness's
 //! `parallel_map` sweep driver (`dinefd-bench`), and the parallel
-//! shard-worker loop of [`crate::shard::ShardedWorld`]. They used to spawn
+//! shard-worker loop of [`crate::World`]. They used to spawn
 //! threads three different ways with three panic-handling policies; this
 //! module is the single spawning site they all go through.
 //!

@@ -1,20 +1,20 @@
-//! Sharded worlds: pair partitions with a deterministic cross-shard merge,
+//! The simulator engine: one deterministic event loop over `k` shards,
 //! runnable sequentially or on a pool of shard-worker threads.
 //!
-//! A [`ShardedWorld`] runs the same discrete-event semantics as
-//! [`crate::world::World`] over `k` shards, each owning the processes with
-//! `pid.index() % k == shard` and a private [`TimerWheel`] of their pending
-//! events. Shards exchange only cross-shard messages; everything else
-//! (timers, same-shard sends) stays local. The extraction host partitions
-//! pairs by the `witness_by_subject` index key — the witness pid — so
-//! `pid % k` is exactly a pair partition there.
+//! A [`World`] partitions its processes into `k ≥ 1` shards, each owning
+//! the processes with `pid.index() % k == shard` and a private
+//! [`TimerWheel`] of their pending events. [`World::new`] builds one shard;
+//! [`World::try_new`] and its siblings take the shard count. Shards exchange
+//! only cross-shard messages; everything else (timers, same-shard sends)
+//! stays local. The extraction host partitions pairs by the
+//! `witness_by_subject` index key — the witness pid — so `pid % k` is
+//! exactly a pair partition there.
 //!
-//! ## The cross-shard `seq` merge rule
+//! ## The canonical merge key
 //!
-//! A single `World` tie-breaks same-instant events by its global scheduling
-//! counter `seq` — meaningless across shards, where each queue counts
-//! alone. Instead every event carries a **canonical key**
-//! `(time, class, source pid, source seq)`:
+//! Same-instant events are ordered by a **canonical key**
+//! `(time, class, source pid, source seq)` rather than by any queue's
+//! scheduling counter:
 //!
 //! * `class 0` — crash-plan events; `source seq` is the plan index;
 //! * `class 1` — node effects (sends, envelopes, timers); `source seq` is a
@@ -30,12 +30,12 @@
 //! can only create strictly-later events.
 //!
 //! Shard-count independence also requires the *randomness* to be
-//! per-process rather than global: each process gets its own delay-model
-//! clone ([`crate::net::DelayModel::try_clone`]) and its own forked
-//! delay-RNG, so the draws a sender makes never depend on how senders are
-//! interleaved across shards.
+//! per-process rather than global: each process gets its own clone of the
+//! configured delay model (scripted adversaries included, see
+//! [`crate::net::Adversary`]) and its own forked delay-RNG, so the draws a
+//! sender makes never depend on how senders are interleaved across shards.
 //!
-//! ## One engine, two drivers
+//! ## Emission logs
 //!
 //! Every event's *state effects* are confined to the shard that executes it
 //! (a delivery steps the destination, a timer or crash its owner, and all
@@ -50,14 +50,14 @@
 //! contiguous in a single shard's log, the replay reproduces exactly the
 //! order a single global key-sorted execution would have produced.
 //!
-//! Both the sequential [`ShardedWorld::step_instant`] and the parallel
-//! runner drive this *same* engine, so parallel determinism is structural
-//! rather than a discipline over duplicated code.
+//! Both the sequential [`World::step_instant`] and the parallel runner
+//! drive this *same* loop, so parallel determinism is structural rather
+//! than a discipline over duplicated code.
 //!
 //! ## The instant-barrier protocol
 //!
 //! With [`crate::world::WorldConfig::threads`] ≥ 2 (and ≥ 2 shards),
-//! [`ShardedWorld::run_until`] moves the shard states onto a pool of
+//! [`World::run_until`] moves the shard states onto a pool of
 //! scoped worker threads ([`crate::pool`]); worker `w` owns shards
 //! `s % workers == w`. Per simulated instant the coordinator:
 //!
@@ -75,8 +75,8 @@
 //! Dropping the step channels shuts the workers down; each returns its
 //! shard states (reinstalled in the world) and a [`WorkerStats`] of
 //! busy/barrier-wait wall-clock. Those stats are *deliberately not* part of
-//! [`ShardedWorld::metrics_map`], which stays byte-identical across thread
-//! counts; read them via [`ShardedWorld::worker_stats`].
+//! [`World::metrics_map`], which stays byte-identical across thread
+//! counts; read them via [`World::worker_stats`].
 //!
 //! ## Queue-depth accounting
 //!
@@ -84,13 +84,24 @@
 //! *sum of their high-water marks* is not shard-count invariant (the peaks
 //! need not coincide in time). The coordinator therefore also tracks a
 //! global gauge of the instantaneous total backlog across shards, updated
-//! every instant; its high water is what [`ShardedWorld::metrics_map`]
+//! every instant; its high water is what [`World::metrics_map`]
 //! exports as `queue_depth_high_water`, and it is byte-identical across
 //! shard counts. It never exceeds the summed per-shard marks — a pinned
 //! test invariant. In parallel runs the coordinator maintains shadow
 //! gauges (a shard's depth is its wheel length plus its undelivered inbox
 //! entries — exactly its sequential wheel length) and writes them back on
 //! shutdown.
+//!
+//! ## Crash semantics at time zero
+//!
+//! A process whose crash is scheduled at `Time::ZERO` is *dead from
+//! birth*: it takes no steps at all — in particular its `on_start` step is
+//! suppressed, so it can neither send messages nor arm timers. (Start steps
+//! execute at construction, before the first instant, so the crash plan's
+//! t=0 entries are applied before start dispatch rather than queued.) This
+//! matches the paper's model, where a faulty process "ceases execution
+//! without warning" — a process that crashes at the initial instant never
+//! executed at all.
 
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -136,25 +147,17 @@ type OutboxEntry<M> = (usize, Time, Pending<M>);
 /// Cross-shard effects the coordinator holds for one destination shard.
 type Inbox<M> = Vec<(Time, Pending<M>)>;
 
-/// Why a [`ShardedWorld`] could not be constructed.
+/// Why a sharded [`World`] could not be constructed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShardBuildError {
     /// `shards == 0` was requested.
     NoShards,
-    /// The configured delay model has no per-process clone
-    /// ([`DelayModel::try_clone`] returned `None` — it is
-    /// [`DelayModel::Scripted`]).
-    UncloneableDelayModel,
 }
 
 impl std::fmt::Display for ShardBuildError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ShardBuildError::NoShards => f.write_str("a sharded world needs at least one shard"),
-            ShardBuildError::UncloneableDelayModel => f.write_str(
-                "sharded worlds need a cloneable delay model (Scripted is not; \
-                 use a World or a deterministic model instead)",
-            ),
+            ShardBuildError::NoShards => f.write_str("a world needs at least one shard"),
         }
     }
 }
@@ -189,7 +192,8 @@ struct ShardState<N: Node> {
     batch_envelopes: bool,
     /// Canonical key of the event currently executing; tags log entries.
     cur_key: MergeKey,
-    // Reusable buffers, as in `World`.
+    // Reusable effect buffers (avoid per-step allocation); envelope
+    // payload vectors cycle shard → event → shard through the pool.
     sends_buf: Vec<(ProcessId, N::Msg)>,
     timers_buf: Vec<(u64, TimerId)>,
     obs_buf: Vec<N::Obs>,
@@ -383,8 +387,10 @@ impl<N: Node> ShardState<N> {
         seq
     }
 
-    /// Resolves an effect's absolute instant; overflow past the clock
-    /// horizon is a hard error (see `World::schedule_at`).
+    /// Resolves the absolute instant of an effect scheduled `delay` ticks
+    /// from `now`, treating clock-horizon overflow as a hard error: a
+    /// saturated instant would park the event at [`Time::INFINITY`] forever
+    /// and livelock `run_until(Time::INFINITY)` (see [`Time::checked_add`]).
     #[inline]
     fn schedule_at(now: Time, delay: u64, what: &str) -> Time {
         match now.checked_add(delay) {
@@ -469,8 +475,11 @@ impl<N: Node> ShardState<N> {
         self.obs_buf = obs;
     }
 
-    /// Envelope batching, as in `World::route_sends_batched`, with pooled
-    /// payload vectors and canonical-key stamping.
+    /// Envelope batching: coalesce this step's sends by destination —
+    /// first-occurrence destination order, send order within a destination
+    /// (FIFO inside the envelope) — and give each envelope one delay draw
+    /// and one canonical key. The destination count per step is small, so
+    /// the grouping is a linear scan, not a map.
     fn route_sends_batched(
         &mut self,
         pid: ProcessId,
@@ -606,15 +615,22 @@ fn worker_loop<N: Node>(
     (owned, stats)
 }
 
-/// A sharded simulated world. Construction, stepping, and observation
-/// mirror [`crate::world::World`]; see the module docs for what sharding
-/// changes (and what it provably doesn't: the schedule).
-pub struct ShardedWorld<N: Node> {
+/// The simulated system executing one run: processes, channels, faults and
+/// the global clock, partitioned into shards (see the module docs).
+///
+/// The world advances instant by instant. Each event due at an instant
+/// triggers one atomic step of one node; effects (sends, timers,
+/// observations) are buffered during the step and routed after it returns.
+pub struct World<N: Node> {
     shards: Vec<ShardState<N>>,
     n: usize,
     now: Time,
     /// Worker threads `run_until` may use (from [`WorldConfig::threads`]).
     threads: usize,
+    /// The parallel runner, installed by the `try_new*` constructors, whose
+    /// `Send` bounds it needs. [`World::new`] builds one shard, which never
+    /// runs in parallel, so its nodes need not be `Send`.
+    parallel: Option<fn(&mut World<N>, Time)>,
     /// Variant label of the configured delay model, for metric export.
     delay_kind: &'static str,
     trace: Trace<N::Msg, N::Obs>,
@@ -633,9 +649,13 @@ pub struct ShardedWorld<N: Node> {
     outbox_buf: Vec<OutboxEntry<N::Msg>>,
 }
 
-impl<N: Node> std::fmt::Debug for ShardedWorld<N> {
+/// The engine's former name, kept only because the frozen `perfbench`
+/// package names it; the next change to the benchmark should delete it.
+pub type ShardedWorld<N> = World<N>;
+
+impl<N: Node> std::fmt::Debug for World<N> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardedWorld")
+        f.debug_struct("World")
             .field("nodes", &self.n)
             .field("shards", &self.shards.len())
             .field("threads", &self.threads)
@@ -645,68 +665,78 @@ impl<N: Node> std::fmt::Debug for ShardedWorld<N> {
     }
 }
 
-impl<N: Node> ShardedWorld<N> {
-    /// Builds a `k`-shard world over `nodes` and delivers every node's
+impl<N: Node> World<N> {
+    /// Builds a one-shard world over `nodes` and delivers every node's
     /// `on_start` step at time zero.
-    ///
-    /// # Panics
-    ///
-    /// On any [`ShardBuildError`]; use [`ShardedWorld::try_new`] to handle
-    /// those as values.
-    pub fn new(nodes: Vec<N>, cfg: WorldConfig, shards: usize) -> Self {
-        Self::try_new(nodes, cfg, shards).unwrap_or_else(|e| panic!("{e}"))
+    pub fn new(nodes: Vec<N>, cfg: WorldConfig) -> Self {
+        Self::build(nodes, cfg, 1, None, None).expect("one shard is always buildable")
     }
 
-    /// Fallible [`ShardedWorld::new`]: rejects `shards == 0` and delay
-    /// models without a per-process clone instead of panicking.
-    pub fn try_new(
-        nodes: Vec<N>,
-        cfg: WorldConfig,
-        shards: usize,
-    ) -> Result<Self, ShardBuildError> {
-        Self::build(nodes, cfg, shards, None, None)
+    /// Builds a one-shard world with a streaming [`ObsSink`] attached. The
+    /// sink must be present from construction because the `on_start` steps
+    /// run inside it — attaching a sink after `new` would miss their
+    /// observations.
+    pub fn new_with_sink(nodes: Vec<N>, cfg: WorldConfig, sink: Box<dyn ObsSink<N::Obs>>) -> Self {
+        Self::build(nodes, cfg, 1, Some(sink), None).expect("one shard is always buildable")
     }
 
-    /// Builds a sharded world with a streaming [`ObsSink`] attached (the
-    /// `on_start` observations stream through it, as in
-    /// [`crate::world::World::new_with_sink`]).
-    ///
-    /// # Panics
-    ///
-    /// On any [`ShardBuildError`]; see [`ShardedWorld::try_new_with_sink`].
-    pub fn new_with_sink(
-        nodes: Vec<N>,
-        cfg: WorldConfig,
-        shards: usize,
-        sink: Box<dyn ObsSink<N::Obs>>,
-    ) -> Self {
-        Self::try_new_with_sink(nodes, cfg, shards, sink).unwrap_or_else(|e| panic!("{e}"))
+    /// Builds a `shards`-shard world (rejecting `shards == 0`). Its runs
+    /// are byte-identical to [`World::new`]'s for every shard count; with
+    /// [`WorldConfig::threads`] ≥ 2 they execute on the worker pool.
+    pub fn try_new(nodes: Vec<N>, cfg: WorldConfig, shards: usize) -> Result<Self, ShardBuildError>
+    where
+        N: Send,
+        N::Msg: Send,
+        N::Obs: Send,
+    {
+        Self::build(nodes, cfg, shards, None, None).map(Self::with_parallel_runner)
     }
 
-    /// Fallible [`ShardedWorld::new_with_sink`].
+    /// [`World::try_new`] with a streaming [`ObsSink`] attached on the
+    /// coordinator: it sees the whole observation stream, in trace order.
     pub fn try_new_with_sink(
         nodes: Vec<N>,
         cfg: WorldConfig,
         shards: usize,
         sink: Box<dyn ObsSink<N::Obs>>,
-    ) -> Result<Self, ShardBuildError> {
-        Self::build(nodes, cfg, shards, Some(sink), None)
+    ) -> Result<Self, ShardBuildError>
+    where
+        N: Send,
+        N::Msg: Send,
+        N::Obs: Send,
+    {
+        Self::build(nodes, cfg, shards, Some(sink), None).map(Self::with_parallel_runner)
     }
 
-    /// Builds a sharded world with one `Send` streaming sink *per shard*:
+    /// [`World::try_new`] with one `Send` streaming sink *per shard*:
     /// `sinks[s]` travels with shard `s` onto its worker thread and
     /// receives exactly the observations of processes `pid % shards == s`,
     /// in that shard's execution order — which is the sequential stream's
-    /// projection onto those processes. This is the parallel-extraction
-    /// hook: per-shard folds merged deterministically afterwards.
+    /// projection onto those processes. This is the extraction hook:
+    /// per-shard folds merged deterministically afterwards.
     pub fn try_new_with_shard_sinks(
         nodes: Vec<N>,
         cfg: WorldConfig,
         shards: usize,
         sinks: Vec<Box<dyn ObsSink<N::Obs> + Send>>,
-    ) -> Result<Self, ShardBuildError> {
+    ) -> Result<Self, ShardBuildError>
+    where
+        N: Send,
+        N::Msg: Send,
+        N::Obs: Send,
+    {
         assert_eq!(sinks.len(), shards, "one shard sink per shard");
-        Self::build(nodes, cfg, shards, None, Some(sinks))
+        Self::build(nodes, cfg, shards, None, Some(sinks)).map(Self::with_parallel_runner)
+    }
+
+    fn with_parallel_runner(mut self) -> Self
+    where
+        N: Send,
+        N::Msg: Send,
+        N::Obs: Send,
+    {
+        self.parallel = Some(Self::run_parallel);
+        self
     }
 
     fn build(
@@ -719,15 +749,12 @@ impl<N: Node> ShardedWorld<N> {
         if shards == 0 {
             return Err(ShardBuildError::NoShards);
         }
-        if cfg.delays.try_clone().is_none() {
-            return Err(ShardBuildError::UncloneableDelayModel);
-        }
         let n = nodes.len();
         let k = shards;
         let mut rng = SplitMix64::new(cfg.seed);
-        // Fork order is load-bearing: node RNGs first (matching `World`),
-        // then one delay RNG per process, all in pid order — then
-        // distributed round-robin so the streams are shard-count invariant.
+        // Fork order is load-bearing: node RNGs first, then one delay RNG
+        // per process, all in pid order — then distributed round-robin so
+        // the streams are shard-count invariant.
         let node_rngs: Vec<SplitMix64> = (0..n).map(|_| rng.fork()).collect();
         let send_rngs: Vec<SplitMix64> = (0..n).map(|_| rng.fork()).collect();
         let log_obs = cfg.record_observations || obs_sink.is_some();
@@ -771,14 +798,15 @@ impl<N: Node> ShardedWorld<N> {
             st.crashed.push(false);
             st.node_rngs.push(nr);
             st.send_rngs.push(sr);
-            st.send_delays.push(cfg.delays.try_clone().expect("cloneability checked above"));
+            st.send_delays.push(cfg.delays.clone());
             st.effect_seq.push(0);
         }
-        let mut world = ShardedWorld {
+        let mut world = World {
             shards: states,
             n,
             now: Time::ZERO,
             threads: cfg.threads.max(1),
+            parallel: None,
             delay_kind: cfg.delays.kind(),
             trace: Trace::new(cfg.record_messages),
             record_observations: cfg.record_observations,
@@ -793,8 +821,8 @@ impl<N: Node> ShardedWorld<N> {
             assert!(pid.index() < n, "crash plan names unknown process {pid}");
             let s = pid.index() % k;
             if at == Time::ZERO {
-                // Dead from birth, exactly as in `World` (see its module
-                // docs): effective before start dispatch.
+                // Dead from birth (see the module docs): effective before
+                // start dispatch.
                 let l = pid.index() / k;
                 let st = &mut world.shards[s];
                 if !st.crashed[l] {
@@ -854,7 +882,7 @@ impl<N: Node> ShardedWorld<N> {
         self.shards.len()
     }
 
-    /// Worker-thread budget for [`ShardedWorld::run_until`].
+    /// Worker-thread budget for [`World::run_until`].
     pub fn threads(&self) -> usize {
         self.threads
     }
@@ -869,9 +897,15 @@ impl<N: Node> ShardedWorld<N> {
         self.shards.iter().map(|s| s.metrics.steps.get()).sum()
     }
 
-    /// Total messages sent, across all shards.
+    /// Total messages sent, across all shards (counted even when the trace
+    /// does not record message events).
     pub fn messages_sent(&self) -> u64 {
         self.shards.iter().map(|s| s.metrics.messages_sent.get()).sum()
+    }
+
+    /// Total messages delivered to live processes, across all shards.
+    pub fn messages_delivered(&self) -> u64 {
+        self.shards.iter().map(|s| s.metrics.messages_delivered.get()).sum()
     }
 
     /// Read access to a node's state.
@@ -891,12 +925,15 @@ impl<N: Node> ShardedWorld<N> {
         &self.trace
     }
 
-    /// Consumes the world, returning the trace.
+    /// Consumes the world, returning the trace. Any attached [`ObsSink`] is
+    /// dropped here; keep a shared handle (see the `Rc<RefCell<_>>` blanket
+    /// impl) or call [`World::take_obs_sink`] first to recover its state.
     pub fn into_trace(self) -> Trace<N::Msg, N::Obs> {
         self.trace
     }
 
-    /// Detaches and returns the streaming sink, if one was attached.
+    /// Detaches and returns the coordinator's streaming sink, if one was
+    /// attached. Later observations are no longer streamed to it.
     pub fn take_obs_sink(&mut self) -> Option<Box<dyn ObsSink<N::Obs>>> {
         self.obs_sink.take()
     }
@@ -920,7 +957,7 @@ impl<N: Node> ShardedWorld<N> {
     /// Per-worker busy/barrier-wait wall-clock from parallel runs; empty
     /// when every run so far was sequential. Wall-clock is inherently
     /// nondeterministic, which is why these never enter
-    /// [`ShardedWorld::metrics_map`].
+    /// [`World::metrics_map`].
     pub fn worker_stats(&self) -> &[WorkerStats] {
         &self.worker_stats
     }
@@ -934,17 +971,23 @@ impl<N: Node> ShardedWorld<N> {
         self.clock = clock;
     }
 
-    /// Merged metric export. Counters and histograms are exact sums over
-    /// shards; `queue_depth_high_water` / `queue_depth_final` come from
-    /// the global gauge, so the whole map is byte-identical across shard
-    /// counts — and thread counts — for a fixed seed.
-    pub fn metrics_map(&self) -> MetricMap {
+    /// The run's metric set, merged over shards. Counters and histograms
+    /// are exact sums; `queue_depth` is the global gauge, so the set is
+    /// byte-identical across shard counts — and thread counts — for a
+    /// fixed seed. All values are logical quantities.
+    pub fn metrics(&self) -> SimMetrics {
         let mut merged = SimMetrics::new();
         for s in &self.shards {
             merged.absorb(&s.metrics);
         }
         merged.queue_depth = self.global_depth;
-        merged.export(self.delay_kind)
+        merged
+    }
+
+    /// Flattened, key-sorted export of [`World::metrics`]; the delay
+    /// histogram is labeled with this world's delay-model variant.
+    pub fn metrics_map(&self) -> MetricMap {
+        self.metrics().export(self.delay_kind)
     }
 
     fn update_depth_gauges(&mut self) {
@@ -998,22 +1041,19 @@ impl<N: Node> ShardedWorld<N> {
     ///
     /// With [`WorldConfig::threads`] ≥ 2 and at least two shards the
     /// instants execute on the shard-worker pool (byte-identical results;
-    /// see the module docs), which is why this — unlike
-    /// [`ShardedWorld::step_instant`] — asks the node type to be `Send`.
-    pub fn run_until(&mut self, deadline: Time)
-    where
-        N: Send,
-        N::Msg: Send,
-        N::Obs: Send,
-    {
-        if self.threads >= 2 && self.shards.len() >= 2 {
-            self.run_parallel(deadline);
-        } else {
-            while let Some(t) = self.peek_time() {
-                if t > deadline {
-                    break;
+    /// see the module docs).
+    pub fn run_until(&mut self, deadline: Time) {
+        match self.parallel {
+            Some(run_parallel) if self.threads >= 2 && self.shards.len() >= 2 => {
+                run_parallel(self, deadline);
+            }
+            _ => {
+                while let Some(t) = self.peek_time() {
+                    if t > deadline {
+                        break;
+                    }
+                    self.step_instant();
                 }
-                self.step_instant();
             }
         }
         if self.now < deadline {
@@ -1021,13 +1061,8 @@ impl<N: Node> ShardedWorld<N> {
         }
     }
 
-    /// Runs for `d` more ticks of virtual time (see [`ShardedWorld::run_until`]).
-    pub fn run_for(&mut self, d: u64)
-    where
-        N: Send,
-        N::Msg: Send,
-        N::Obs: Send,
-    {
+    /// Runs for `d` more ticks of virtual time (see [`World::run_until`]).
+    pub fn run_for(&mut self, d: u64) {
         let deadline = self.now + d;
         self.run_until(deadline);
     }
@@ -1171,8 +1206,10 @@ impl<N: Node> ShardedWorld<N> {
 mod tests {
     use super::*;
     use crate::fault::CrashPlan;
+    use crate::net::ChannelStaller;
 
-    /// Ring-token nodes (the `World` test workload, reused verbatim).
+    /// A node that floods a token around a ring until its hop budget is
+    /// spent.
     #[derive(Debug)]
     struct RingNode {
         n: usize,
@@ -1217,30 +1254,136 @@ mod tests {
         }
     }
 
-    fn run(seed: u64, shards: usize, batch: bool) -> (Time, String, MetricMap) {
-        let n = 6;
-        let mut w = ShardedWorld::new(ring(n, 300), cfg(seed, n, batch), shards);
-        while w.step_instant() {}
+    /// A scripted adversary stalling two ring channels for a while.
+    fn staller() -> DelayModel {
+        DelayModel::Scripted(Box::new(ChannelStaller {
+            stalled: vec![(ProcessId(0), ProcessId(1)), (ProcessId(3), ProcessId(4))],
+            release_at: Time(200),
+            benign_hi: 12,
+        }))
+    }
+
+    fn fingerprint<N: Node<Obs = u32>>(w: &World<N>) -> (Time, String, MetricMap) {
         (w.now(), format!("{:?}", w.trace().events()), w.metrics_map())
     }
 
-    /// The ISSUE 7 determinism matrix: same seed ⇒ byte-identical trace
-    /// and metrics for shards ∈ {1, 2, 4, 8}, including the exported
-    /// `queue_depth_high_water`.
+    /// The determinism matrix: same seed ⇒ byte-identical trace and
+    /// metrics for the one-shard [`World::new`] and shards ∈ {1, 2, 4, 8},
+    /// including the exported `queue_depth_high_water`, under a stochastic
+    /// and a scripted delay model.
     #[test]
     fn shard_count_never_changes_the_run() {
+        let n = 6;
         for batch in [false, true] {
-            let reference = run(90, 1, batch);
-            for shards in [2, 4, 8] {
-                let got = run(90, shards, batch);
-                assert_eq!(got, reference, "shards={shards} batch={batch} diverged");
+            for delays in [DelayModel::harsh, staller] {
+                let mut w = World::new(ring(n, 300), cfg(90, n, batch).delays(delays()));
+                while w.step_instant() {}
+                let reference = fingerprint(&w);
+                for shards in [1, 2, 4, 8] {
+                    let cfg = cfg(90, n, batch).delays(delays());
+                    let mut w = World::try_new(ring(n, 300), cfg, shards).expect("buildable");
+                    while w.step_instant() {}
+                    assert_eq!(fingerprint(&w), reference, "shards={shards} batch={batch}");
+                }
             }
         }
     }
 
     #[test]
-    fn different_seeds_still_diverge() {
-        assert_ne!(run(90, 4, false).1, run(91, 4, false).1);
+    fn same_seed_same_run() {
+        let run = |seed: u64| {
+            let mut w = World::new(ring(5, 40), WorldConfig::new(seed).record_messages());
+            while w.step_instant() {}
+            (w.now(), w.trace().len())
+        };
+        assert_eq!(run(77), run(77));
+        // Different seeds virtually always give different schedules.
+        assert_ne!(run(77).0, run(78).0);
+    }
+
+    #[test]
+    fn token_circulates_until_exhausted() {
+        let mut w = World::new(ring(4, 11), WorldConfig::new(3).record_messages());
+        while w.step_instant() {}
+        // 12 deliveries total (hops 11..=0).
+        assert_eq!(w.trace().delivered_count(), 12);
+        let total: u32 = (0..4).map(|i| w.node(ProcessId(i)).received).sum();
+        assert_eq!(total, 12);
+    }
+
+    #[test]
+    fn crashed_process_stops_participating() {
+        let cfg = WorldConfig::new(5)
+            .crashes(CrashPlan::one(ProcessId(1), Time(1)))
+            .delays(DelayModel::Fixed(10))
+            .record_messages();
+        let mut w = World::new(ring(3, 30), cfg);
+        while w.step_instant() {}
+        // p1 crashes at t=1 before the token (sent at t=0, arriving t=10)
+        // reaches it, so the token dies at p1: only p0's initial send exists.
+        assert_eq!(w.trace().sent_count(), 1);
+        assert_eq!(w.trace().delivered_count(), 0);
+        assert!(w.is_crashed(ProcessId(1)));
+        assert!(!w.is_crashed(ProcessId(0)));
+    }
+
+    /// Regression: a crash scheduled at `Time::ZERO` used to be enqueued as
+    /// an ordinary event, which fires only after the start steps — so a
+    /// dead-from-birth process still ran `on_start` and could send
+    /// messages. It must take no steps at all, on any shard count.
+    #[test]
+    fn crash_at_time_zero_suppresses_start_step() {
+        for shards in [1, 2] {
+            // p0 is the ring initiator; crashing it at t=0 must kill the run
+            // before any message exists.
+            let cfg = WorldConfig::new(3)
+                .crashes(CrashPlan::one(ProcessId(0), Time::ZERO))
+                .record_messages();
+            let mut w = World::try_new(ring(3, 10), cfg, shards).expect("buildable");
+            assert!(w.is_crashed(ProcessId(0)), "t=0 crash must be effective before starts");
+            while w.step_instant() {}
+            assert_eq!(w.trace().sent_count(), 0, "a dead-from-birth process must not send");
+            assert_eq!(w.steps(), 2, "only the two live processes take their start steps");
+            // The crash itself is still visible to the spec checkers.
+            assert!(w
+                .trace()
+                .events()
+                .iter()
+                .any(|e| matches!(e, TraceEvent::Crash { at: Time::ZERO, pid: ProcessId(0) })));
+        }
+    }
+
+    #[test]
+    fn crash_at_time_zero_also_silences_timers() {
+        let cfg = WorldConfig::new(2).crashes(CrashPlan::one(ProcessId(0), Time::ZERO));
+        let mut w = World::new(vec![TimerNode { fired: 0, limit: 5 }], cfg);
+        while w.step_instant() {}
+        assert_eq!(w.node(ProcessId(0)).fired, 0);
+        assert_eq!(w.pending_events(), 0);
+    }
+
+    #[test]
+    fn metrics_mirror_legacy_accessors() {
+        let mut w = World::new(ring(4, 25), WorldConfig::new(3).record_messages());
+        while w.step_instant() {}
+        let m = w.metrics();
+        assert_eq!(m.steps.get(), w.steps());
+        assert_eq!(m.messages_sent.get(), w.messages_sent());
+        assert_eq!(m.messages_delivered.get(), w.messages_delivered());
+        assert_eq!(m.delay_ticks.count(), w.messages_sent(), "every send samples one delay");
+        assert!(m.queue_depth.high_water() >= 1);
+        assert_eq!(m.queue_depth.get(), 0, "drained world has an empty queue");
+        let map = w.metrics_map();
+        assert_eq!(map["steps"], w.steps());
+        assert!(map.contains_key("delay_ticks.uniform.count"), "histogram labeled by model");
+    }
+
+    #[test]
+    fn observations_are_chronological() {
+        let mut w = World::new(ring(3, 100), WorldConfig::new(11));
+        while w.step_instant() {}
+        let times: Vec<Time> = w.trace().observations().map(|(t, _, _)| t).collect();
+        assert!(times.windows(2).all(|w| w[0] <= w[1]));
     }
 
     /// Drives the run through `run_until` with a thread budget; the
@@ -1253,15 +1396,16 @@ mod tests {
         batch: bool,
     ) -> (Time, String, MetricMap) {
         let n = 6;
-        let mut w = ShardedWorld::new(ring(n, 300), cfg(seed, n, batch).threads(threads), shards);
+        let cfg = cfg(seed, n, batch).threads(threads);
+        let mut w = World::try_new(ring(n, 300), cfg, shards).expect("buildable");
         w.run_until(Time(1_000_000));
-        (w.now(), format!("{:?}", w.trace().events()), w.metrics_map())
+        fingerprint(&w)
     }
 
-    /// The ISSUE 8 determinism matrix: the parallel instant-barrier run is
-    /// byte-identical to the sequential one — trace, metrics, and the
-    /// exported depth gauges — for every thread × shard combination,
-    /// including a mid-run crash (t=150) and envelope batching.
+    /// The parallel instant-barrier run is byte-identical to the
+    /// sequential one — trace, metrics, and the exported depth gauges —
+    /// for every thread × shard combination, including a mid-run crash
+    /// (t=150) and envelope batching.
     #[test]
     fn parallel_run_is_byte_identical_to_sequential() {
         for batch in [false, true] {
@@ -1281,23 +1425,24 @@ mod tests {
     #[test]
     fn parallel_resume_matches_sequential() {
         let drive = |threads: usize| {
-            let mut w = ShardedWorld::new(ring(6, 300), cfg(11, 6, false).threads(threads), 4);
+            let cfg = cfg(11, 6, false).threads(threads);
+            let mut w = World::try_new(ring(6, 300), cfg, 4).expect("buildable");
             w.run_until(Time(120));
             w.run_for(600);
-            (w.now(), format!("{:?}", w.trace().events()), w.metrics_map())
+            fingerprint(&w)
         };
         assert_eq!(drive(4), drive(1));
     }
 
     #[test]
     fn parallel_runs_record_worker_stats() {
-        let mut w = ShardedWorld::new(ring(6, 300), cfg(90, 6, false).threads(4), 4);
+        let mut w = World::try_new(ring(6, 300), cfg(90, 6, false).threads(4), 4).unwrap();
         w.run_until(Time(1_000_000));
         assert_eq!(w.worker_stats().len(), 4);
         let instants: u64 = w.worker_stats().iter().map(|s| s.instants.get()).sum();
         assert!(instants > 0, "workers must have stepped instants");
         // Sequential runs leave no worker stats.
-        let mut seq = ShardedWorld::new(ring(6, 300), cfg(90, 6, false), 4);
+        let mut seq = World::try_new(ring(6, 300), cfg(90, 6, false), 4).unwrap();
         seq.run_until(Time(1_000_000));
         assert!(seq.worker_stats().is_empty());
     }
@@ -1307,11 +1452,10 @@ mod tests {
     /// drains, and the artifacts stay byte-identical to sequential.
     #[test]
     fn more_threads_than_shards_clamps_to_shard_count() {
-        let mut w = ShardedWorld::new(ring(6, 300), cfg(90, 6, false).threads(16), 2);
+        let mut w = World::try_new(ring(6, 300), cfg(90, 6, false).threads(16), 2).unwrap();
         w.run_until(Time(1_000_000));
         assert_eq!(w.worker_stats().len(), 2, "worker pool must clamp to shard count");
-        let got = (w.now(), format!("{:?}", w.trace().events()), w.metrics_map());
-        assert_eq!(got, run_threaded(90, 2, 1, false));
+        assert_eq!(fingerprint(&w), run_threaded(90, 2, 1, false));
     }
 
     /// The worker wall-clock accounting reads the injected [`Clock`]: with
@@ -1319,7 +1463,7 @@ mod tests {
     /// zero while the sample counts still advance.
     #[test]
     fn worker_stats_read_the_injected_clock() {
-        let mut w = ShardedWorld::new(ring(6, 300), cfg(90, 6, false).threads(2), 2);
+        let mut w = World::try_new(ring(6, 300), cfg(90, 6, false).threads(2), 2).unwrap();
         w.set_clock(Arc::new(crate::ManualClock::new()));
         w.run_until(Time(1_000_000));
         assert_eq!(w.worker_stats().len(), 2);
@@ -1334,7 +1478,7 @@ mod tests {
     #[test]
     fn global_high_water_is_bounded_by_summed_shard_marks() {
         let n = 6;
-        let mut w = ShardedWorld::new(ring(n, 300), cfg(5, n, false), 4);
+        let mut w = World::try_new(ring(n, 300), cfg(5, n, false), 4).unwrap();
         while w.step_instant() {}
         let summed: u64 =
             (0..w.shards()).map(|s| w.shard_metrics(s).queue_depth.high_water()).sum();
@@ -1351,7 +1495,7 @@ mod tests {
     #[test]
     fn counters_sum_exactly_across_shards() {
         let n = 6;
-        let mut w = ShardedWorld::new(ring(n, 200), cfg(7, n, false), 4);
+        let mut w = World::try_new(ring(n, 200), cfg(7, n, false), 4).unwrap();
         while w.step_instant() {}
         let m = w.metrics_map();
         assert_eq!(m["messages_sent"], w.messages_sent());
@@ -1364,52 +1508,68 @@ mod tests {
     }
 
     #[test]
-    fn crash_at_time_zero_suppresses_start_step() {
-        let cfg =
-            WorldConfig::new(3).crashes(CrashPlan::one(ProcessId(0), Time::ZERO)).record_messages();
-        let mut w = ShardedWorld::new(ring(3, 10), cfg, 2);
-        assert!(w.is_crashed(ProcessId(0)));
-        while w.step_instant() {}
-        assert_eq!(w.trace().sent_count(), 0, "a dead-from-birth process must not send");
-    }
-
-    #[test]
     fn run_until_respects_deadline() {
-        let mut w = ShardedWorld::new(ring(4, 1000), WorldConfig::new(9), 2);
+        let mut w = World::new(ring(4, 1000), WorldConfig::new(9));
         w.run_until(Time(50));
         assert!(w.now() >= Time(50));
         let before = w.trace().observations().count();
-        w.run_for(400);
+        w.run_for(200);
         assert!(w.trace().observations().count() > before);
     }
 
     #[test]
-    #[should_panic(expected = "cloneable delay model")]
-    fn scripted_delays_are_rejected() {
-        use crate::net::ChannelStaller;
-        let staller = ChannelStaller { stalled: vec![], release_at: Time(1), benign_hi: 1 };
-        let cfg = WorldConfig::new(1).delays(DelayModel::Scripted(Box::new(staller)));
-        ShardedWorld::new(ring(2, 1), cfg, 2);
-    }
-
-    /// The fallible constructors surface the same conditions as values.
-    #[test]
-    fn try_new_reports_build_errors() {
-        use crate::net::ChannelStaller;
+    fn try_new_rejects_zero_shards() {
         assert_eq!(
-            ShardedWorld::try_new(ring(2, 1), WorldConfig::new(1), 0).err(),
+            World::try_new(ring(2, 1), WorldConfig::new(1), 0).err(),
             Some(ShardBuildError::NoShards)
         );
-        let staller = ChannelStaller { stalled: vec![], release_at: Time(1), benign_hi: 1 };
-        let cfg = WorldConfig::new(1).delays(DelayModel::Scripted(Box::new(staller)));
-        assert_eq!(
-            ShardedWorld::try_new(ring(2, 1), cfg, 2).err(),
-            Some(ShardBuildError::UncloneableDelayModel)
-        );
     }
 
-    /// A sink observing through the sharded coordinator sees the exact
-    /// trace stream, as with `World`.
+    /// A node that re-arms a timer a fixed number of times.
+    #[derive(Debug)]
+    struct TimerNode {
+        fired: u32,
+        limit: u32,
+    }
+
+    impl Node for TimerNode {
+        type Msg = ();
+        type Obs = u32;
+
+        fn on_start(&mut self, ctx: &mut Context<'_, (), u32>) {
+            ctx.set_timer(5, TimerId(0));
+        }
+
+        fn on_message(&mut self, _ctx: &mut Context<'_, (), u32>, _from: ProcessId, _msg: ()) {}
+
+        fn on_timer(&mut self, ctx: &mut Context<'_, (), u32>, id: TimerId) {
+            assert_eq!(id, TimerId(0));
+            self.fired += 1;
+            ctx.observe(self.fired);
+            if self.fired < self.limit {
+                ctx.set_timer(5, TimerId(0));
+            }
+        }
+    }
+
+    #[test]
+    fn timers_fire_and_rearm() {
+        let mut w = World::new(vec![TimerNode { fired: 0, limit: 7 }], WorldConfig::new(1));
+        while w.step_instant() {}
+        assert_eq!(w.node(ProcessId(0)).fired, 7);
+        assert_eq!(w.now(), Time(35));
+    }
+
+    #[test]
+    fn timers_of_crashed_process_do_not_fire() {
+        let cfg = WorldConfig::new(1).crashes(CrashPlan::one(ProcessId(0), Time(12)));
+        let mut w = World::new(vec![TimerNode { fired: 0, limit: 100 }], cfg);
+        while w.step_instant() {}
+        // Fires at t=5 and t=10; crash at t=12 silences the rest.
+        assert_eq!(w.node(ProcessId(0)).fired, 2);
+    }
+
+    /// A sink recording every observation it sees.
     #[derive(Debug, Default)]
     struct FoldSink {
         seen: Vec<(Time, ProcessId, u32)>,
@@ -1421,22 +1581,54 @@ mod tests {
         }
     }
 
+    /// A coordinator-side sink sees exactly the trace's observation stream,
+    /// on one shard and on several.
     #[test]
     fn obs_sink_streams_exactly_the_trace_observations() {
         use std::cell::RefCell;
         use std::rc::Rc;
+        for shards in [1, 3] {
+            let sink = Rc::new(RefCell::new(FoldSink::default()));
+            let handle = Box::new(Rc::clone(&sink));
+            let mut w =
+                World::try_new_with_sink(ring(4, 23), WorldConfig::new(9), shards, handle).unwrap();
+            while w.step_instant() {}
+            let from_trace: Vec<(Time, ProcessId, u32)> =
+                w.trace().observations().map(|(t, p, &o)| (t, p, o)).collect();
+            assert!(!from_trace.is_empty());
+            assert_eq!(sink.borrow().seen, from_trace, "sink must mirror the trace stream");
+            assert_eq!(w.metrics().observations.get(), from_trace.len() as u64);
+        }
+    }
+
+    #[test]
+    fn observation_events_off_keeps_sink_fed_but_trace_lean() {
+        use std::cell::RefCell;
+        use std::rc::Rc;
         let sink = Rc::new(RefCell::new(FoldSink::default()));
-        let mut w = ShardedWorld::new_with_sink(
-            ring(4, 23),
-            WorldConfig::new(9),
-            3,
-            Box::new(Rc::clone(&sink)),
-        );
+        let cfg = WorldConfig::new(9).observation_events_off();
+        let mut w = World::new_with_sink(ring(4, 23), cfg, Box::new(Rc::clone(&sink)));
         while w.step_instant() {}
-        let from_trace: Vec<(Time, ProcessId, u32)> =
-            w.trace().observations().map(|(t, p, &o)| (t, p, o)).collect();
-        assert!(!from_trace.is_empty());
-        assert_eq!(sink.borrow().seen, from_trace);
+        assert_eq!(w.trace().observations().count(), 0, "trace must not retain observations");
+        assert_eq!(w.trace().len(), 0, "nothing else recorded either (messages off)");
+        assert_eq!(sink.borrow().seen.len() as u64, w.metrics().observations.get());
+        assert!(w.metrics().observations.get() > 0);
+    }
+
+    #[test]
+    fn obs_sink_attachment_does_not_change_the_schedule() {
+        let bare = {
+            let mut w = World::new(ring(5, 40), WorldConfig::new(77));
+            while w.step_instant() {}
+            (w.now(), w.steps(), w.messages_sent())
+        };
+        let sunk = {
+            let sink = std::rc::Rc::new(std::cell::RefCell::new(FoldSink::default()));
+            let mut w = World::new_with_sink(ring(5, 40), WorldConfig::new(77), Box::new(sink));
+            while w.step_instant() {}
+            (w.now(), w.steps(), w.messages_sent())
+        };
+        assert_eq!(bare, sunk);
     }
 
     /// Per-shard sinks riding worker threads each see exactly the
@@ -1451,7 +1643,7 @@ mod tests {
             .iter()
             .map(|h| Box::new(Arc::clone(h)) as Box<dyn ObsSink<u32> + Send>)
             .collect();
-        let mut w = ShardedWorld::try_new_with_shard_sinks(
+        let mut w = World::try_new_with_shard_sinks(
             ring(4, 23),
             WorldConfig::new(9).threads(2),
             shards,
@@ -1472,5 +1664,171 @@ mod tests {
             total += seen.len();
         }
         assert!(total > 0, "the workload must observe something");
+    }
+
+    /// A node that sends a burst of messages to one peer per timer fire —
+    /// the shape envelope batching coalesces.
+    #[derive(Debug)]
+    struct Burst {
+        rounds_left: u32,
+        burst: u32,
+        received: Vec<u32>,
+    }
+
+    impl Node for Burst {
+        type Msg = u32;
+        type Obs = u32;
+
+        fn on_start(&mut self, ctx: &mut Context<'_, u32, u32>) {
+            if ctx.me() == ProcessId(0) {
+                ctx.set_timer(5, TimerId(0));
+            }
+        }
+
+        fn on_message(&mut self, ctx: &mut Context<'_, u32, u32>, _from: ProcessId, msg: u32) {
+            self.received.push(msg);
+            ctx.observe(msg);
+        }
+
+        fn on_timer(&mut self, ctx: &mut Context<'_, u32, u32>, _id: TimerId) {
+            for k in 0..self.burst {
+                ctx.send(ProcessId(1), self.rounds_left * 100 + k);
+            }
+            if self.rounds_left > 0 {
+                self.rounds_left -= 1;
+                ctx.set_timer(5, TimerId(0));
+            }
+        }
+    }
+
+    fn burst_nodes(rounds: u32, burst: u32) -> Vec<Burst> {
+        (0..2).map(|_| Burst { rounds_left: rounds, burst, received: Vec::new() }).collect()
+    }
+
+    #[test]
+    fn envelope_batching_coalesces_per_step_sends_with_one_delay_draw() {
+        let cfg = WorldConfig::new(3).batch_envelopes();
+        let mut w = World::new(burst_nodes(9, 4), cfg);
+        while w.step_instant() {}
+        let m = w.metrics();
+        assert_eq!(m.messages_sent.get(), 40, "10 timer fires x 4 msgs");
+        assert_eq!(m.envelopes_sent.get(), 10, "one envelope per bursting step");
+        assert_eq!(m.delay_ticks.count(), 10, "one delay draw per envelope");
+        assert_eq!(m.envelope_occupancy.count(), 10);
+        assert_eq!(m.envelope_occupancy.max(), 4);
+        assert_eq!(m.envelope_occupancy.sum(), m.messages_sent.get());
+        assert_eq!(m.messages_delivered.get(), 40, "every message still delivered");
+    }
+
+    #[test]
+    fn envelope_batching_preserves_fifo_within_an_envelope() {
+        let cfg = WorldConfig::new(5).batch_envelopes();
+        let mut w = World::new(burst_nodes(5, 6), cfg);
+        while w.step_instant() {}
+        // Messages of one burst share an envelope, so their receive order is
+        // their send order: within each round, k ascends 0..6.
+        let received = &w.node(ProcessId(1)).received;
+        assert_eq!(received.len(), 36);
+        for chunk in received.chunks(6) {
+            let ks: Vec<u32> = chunk.iter().map(|m| m % 100).collect();
+            assert_eq!(ks, vec![0, 1, 2, 3, 4, 5], "within-envelope order broken: {received:?}");
+        }
+    }
+
+    #[test]
+    fn envelope_batching_off_matches_on_under_fixed_delays() {
+        // With a deterministic delay model the single envelope draw equals
+        // every per-message draw, and one sender's effects keep their
+        // canonical-key order either way, so for a single destination the
+        // runs must agree exactly.
+        let run = |batch: bool| {
+            let cfg = WorldConfig::new(8).delays(DelayModel::Fixed(7));
+            let cfg = if batch { cfg.batch_envelopes() } else { cfg };
+            let mut w = World::new(burst_nodes(7, 3), cfg);
+            while w.step_instant() {}
+            (w.now(), w.node(ProcessId(1)).received.clone())
+        };
+        assert_eq!(run(false), run(true));
+    }
+
+    #[test]
+    fn envelopes_to_crashed_receivers_are_dropped_whole() {
+        let cfg = WorldConfig::new(4)
+            .batch_envelopes()
+            .delays(DelayModel::Fixed(10))
+            .crashes(CrashPlan::one(ProcessId(1), Time(1)));
+        let mut w = World::new(burst_nodes(2, 5), cfg);
+        while w.step_instant() {}
+        let m = w.metrics();
+        assert_eq!(m.messages_delivered.get(), 0);
+        assert_eq!(m.messages_dropped.get(), m.messages_sent.get());
+    }
+
+    /// A node that jumps to the clock horizon and keeps re-arming there —
+    /// the shape that used to livelock `run_until(Time::INFINITY)`.
+    #[derive(Debug)]
+    struct HorizonNode;
+
+    impl Node for HorizonNode {
+        type Msg = ();
+        type Obs = ();
+
+        fn on_start(&mut self, ctx: &mut Context<'_, (), ()>) {
+            // t=0 + u64::MAX lands exactly on Time::INFINITY — legal.
+            ctx.set_timer(u64::MAX, TimerId(0));
+        }
+
+        fn on_message(&mut self, _ctx: &mut Context<'_, (), ()>, _from: ProcessId, _msg: ()) {}
+
+        fn on_timer(&mut self, ctx: &mut Context<'_, (), ()>, _id: TimerId) {
+            // Re-arming at the horizon used to *saturate* back to
+            // Time::INFINITY, so this timer fired again and again at the
+            // same instant and the run never terminated.
+            ctx.set_timer(1, TimerId(0));
+        }
+    }
+
+    /// Regression: `Time`'s saturating `Add` silently pinned past-horizon
+    /// events at `Time::INFINITY`, so a node re-arming a timer there
+    /// livelocked `run_until(Time::INFINITY)` — the queue never drained and
+    /// time never advanced. Past-horizon scheduling is now a hard error
+    /// instead of an infinite loop.
+    #[test]
+    #[should_panic(expected = "timer scheduled past the clock horizon")]
+    fn rearming_at_the_horizon_is_a_hard_error_not_a_livelock() {
+        let mut w = World::new(vec![HorizonNode], WorldConfig::new(1));
+        w.run_until(Time::INFINITY);
+    }
+
+    /// A node that sends one message to a process that does not exist.
+    #[derive(Debug)]
+    struct StraySender;
+
+    impl Node for StraySender {
+        type Msg = ();
+        type Obs = ();
+
+        fn on_start(&mut self, ctx: &mut Context<'_, (), ()>) {
+            ctx.send(ProcessId(99), ());
+        }
+
+        fn on_message(&mut self, _ctx: &mut Context<'_, (), ()>, _from: ProcessId, _msg: ()) {}
+    }
+
+    /// Regression: unknown destinations were guarded only by
+    /// `debug_assert!`, so a release build silently enqueued the delivery
+    /// and corrupted routing state downstream. The guard is an `assert!` in
+    /// every build profile and both routing paths — CI runs this test under
+    /// `--release` to pin the release-mode behavior.
+    #[test]
+    #[should_panic(expected = "send to unknown process p99")]
+    fn sending_to_an_unknown_process_panics_unbatched() {
+        World::new(vec![StraySender], WorldConfig::new(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "send to unknown process p99")]
+    fn sending_to_an_unknown_process_panics_batched() {
+        World::new(vec![StraySender], WorldConfig::new(1).batch_envelopes());
     }
 }

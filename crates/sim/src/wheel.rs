@@ -1,12 +1,11 @@
-//! A hierarchical timer wheel — the event queue's scale backend.
+//! A hierarchical timer wheel — the simulator's event queue.
 //!
 //! A simulated run schedules almost everything *near* the current instant:
 //! message delays are small (the delay models top out at a few hundred
-//! ticks) and node self-ticks are single digits, so the global
-//! `BinaryHeap`'s `O(log n)` per operation — with its cache-hostile
-//! percolation over a million pending events at `n = 1024` — buys
-//! generality the workload never uses. The wheel splits the horizon into
-//! two levels:
+//! ticks) and node self-ticks are single digits, so a global binary heap's
+//! `O(log n)` per operation — with its cache-hostile percolation over a
+//! million pending events at `n = 1024` — buys generality the workload
+//! never uses. The wheel splits the horizon into two levels:
 //!
 //! * **near**: a fixed ring of [`NEAR_SLOTS`] one-tick slots covering the
 //!   window `[window_start, window_start + NEAR_SLOTS)`, with a bitmap of
@@ -19,15 +18,13 @@
 //!
 //! ## Ordering contract
 //!
-//! [`TimerWheel::pop`] yields items in ascending `(time, insertion order)`
-//! — exactly the `(time, seq)` order of the heap-backed
-//! [`crate::event::EventQueue`], *provided same-time items are pushed in
-//! ascending order of their intended tie-break* (the event queue's `seq` is
-//! a monotone push counter, so this holds by construction). Within a slot
-//! the wheel appends on push and pops from the front; far buckets preserve
-//! append order and whole buckets move into the ring at window roll, so
-//! insertion order survives every path. `crates/sim` pins wheel ≡ heap with
-//! randomized differential tests.
+//! [`TimerWheel::pop`] yields items in ascending `(time, insertion order)`.
+//! Within a slot the wheel appends on push and pops from the front; far
+//! buckets preserve append order and whole buckets move into the ring at
+//! window roll, so insertion order survives every path. The simulator
+//! relies only on the time order — it sorts each instant's events by their
+//! canonical key (see [`crate::shard`]) — but the full contract is pinned
+//! by a randomized differential test against a stable-sort reference.
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -110,8 +107,7 @@ impl<V> TimerWheel<V> {
     /// # Panics
     ///
     /// If `at` lies before an already-popped instant — the simulation clock
-    /// never runs backwards, so such a push is a caller bug the heap would
-    /// have masked by re-sorting.
+    /// never runs backwards, so such a push is a caller bug.
     pub fn push(&mut self, at: Time, v: V) {
         let t = at.ticks();
         assert!(t >= self.cursor, "wheel push at t{t} behind the cursor t{}", self.cursor);
@@ -192,7 +188,7 @@ impl<V> TimerWheel<V> {
     /// Instant of the earliest pending item.
     ///
     /// Non-mutating by design: a peek commits to nothing, so a caller
-    /// coordinating several wheels (e.g. [`crate::shard::ShardedWorld`])
+    /// coordinating several wheels (the shards of a [`crate::World`])
     /// may peek a wheel arbitrarily far ahead of the instants it will
     /// still push into. Only [`TimerWheel::pop`] advances the cursor and
     /// rolls windows. The min is cheap without mutation because far keys
@@ -309,9 +305,12 @@ mod tests {
         assert_eq!(w.pop(), None);
     }
 
-    /// Randomized differential: the wheel must agree with a sorted-vector
-    /// reference on `(time, insertion order)` for interleaved push/pop
-    /// workloads whose delays mix near and far scales.
+    /// Randomized differential — the queue's reference oracle: the wheel
+    /// must agree with a sorted-vector reference on `(time, insertion
+    /// order)` for interleaved push/pop workloads. Delays mix same-instant
+    /// pushes at the cursor (delay 0, so FIFO ties after a pop), dense
+    /// near-window ties, window-edge delays, and far-level spikes that
+    /// force rolls; every pop is preceded by a peek check.
     #[test]
     fn differential_against_stable_sort_reference() {
         let mut rng = SplitMix64::new(0xD1FF);
@@ -322,25 +321,27 @@ mod tests {
             let mut next_id = 0u64;
             let mut popped_wheel = Vec::new();
             let mut popped_ref = Vec::new();
-            for _ in 0..2_000 {
+            for _ in 0..3_000 {
                 if rng.chance(3, 5) || reference.is_empty() {
-                    let delay = match rng.below(4) {
-                        0 => rng.range(1, 16),
-                        1 => rng.range(1, 2 * NEAR_SLOTS as u64),
-                        2 => rng.range(1, 50_000),
+                    let delay = match rng.below(5) {
+                        0 => rng.below(8),
+                        1 => rng.range(1, 16),
+                        2 => rng.range(1, 2 * NEAR_SLOTS as u64),
+                        3 => rng.range(1, 50_000),
                         _ => rng.range(1, 5_000_000),
                     };
                     w.push(Time(now + delay), next_id);
                     reference.push((now + delay, next_id));
                     next_id += 1;
                 } else {
-                    let (t, v) = w.pop().expect("reference non-empty");
                     let min = reference
                         .iter()
                         .enumerate()
                         .min_by_key(|&(i, &(rt, _))| (rt, i))
                         .map(|(i, _)| i)
                         .expect("non-empty");
+                    assert_eq!(w.peek_time(), Some(Time(reference[min].0)), "trial {trial} peek");
+                    let (t, v) = w.pop().expect("reference non-empty");
                     let (rt, rv) = reference.remove(min);
                     popped_wheel.push((t.ticks(), v));
                     popped_ref.push((rt, rv));

@@ -1,26 +1,15 @@
-//! The simulated world: processes + channels + faults + global clock.
-//!
-//! ## Crash semantics at time zero
-//!
-//! A process whose crash is scheduled at `Time::ZERO` is *dead from
-//! birth*: it takes no steps at all — in particular its `on_start` step is
-//! suppressed, so it can neither send messages nor arm timers. (The event
-//! queue only orders events popped during the run; start steps execute in
-//! `World::new` before the first pop, so a queued t=0 crash used to fire
-//! *after* the starts, letting a dead process speak. The crash plan is now
-//! applied to t=0 entries before start dispatch.) This matches the paper's
-//! model, where a faulty process "ceases execution without warning" — a
-//! process that crashes at the initial instant never executed at all.
+//! What a run is configured with, and what may observe it: the
+//! [`WorldConfig`], the streaming [`ObsSink`] hook, and the simulated
+//! backend of the runtime contract. The engine itself, [`World`], lives in
+//! [`crate::shard`].
 
-use crate::event::{EventKind, EventQueue, QueueBackend};
+use crate::event::QueueBackend;
 use crate::fault::CrashPlan;
 use crate::id::ProcessId;
-use crate::metrics::SimMetrics;
 use crate::net::DelayModel;
-use crate::node::{Context, Node, TimerId};
-use crate::rng::SplitMix64;
+use crate::node::Node;
+pub use crate::shard::World;
 use crate::time::Time;
-use crate::trace::{Trace, TraceEvent};
 
 /// A streaming consumer of observations.
 ///
@@ -49,10 +38,9 @@ impl<O, S: ObsSink<O>> ObsSink<O> for std::rc::Rc<std::cell::RefCell<S>> {
 }
 
 /// `Send`-able shared-handle convenience, for sinks that cross a thread
-/// boundary (the per-shard sinks of a parallel
-/// [`crate::shard::ShardedWorld`]). Each such sink is owned by exactly one
-/// shard worker, so the mutex is uncontended; it exists only to let the
-/// caller keep a recovery handle.
+/// boundary (the per-shard sinks of [`World::try_new_with_shard_sinks`]).
+/// Each such sink is owned by exactly one shard worker, so the mutex is
+/// uncontended; it exists only to let the caller keep a recovery handle.
 impl<O, S: ObsSink<O>> ObsSink<O> for std::sync::Arc<std::sync::Mutex<S>> {
     fn on_obs(&mut self, at: Time, pid: ProcessId, obs: &O) {
         self.lock().expect("sink poisoned").on_obs(at, pid, obs);
@@ -79,18 +67,13 @@ pub struct WorldConfig {
     /// into a single wire envelope with a single delay draw (FIFO within
     /// the envelope). Off by default — the paper's model puts every message
     /// on the wire alone; batching is a throughput knob whose occupancy is
-    /// measured by [`SimMetrics::envelope_occupancy`].
+    /// measured by [`crate::metrics::SimMetrics::envelope_occupancy`].
     pub batch_envelopes: bool,
-    /// Which data structure backs the event queue. The timer wheel is the
-    /// default; the heap is kept for differential runs (the two are
-    /// asserted pop-identical, so this knob never changes a schedule).
-    pub queue: QueueBackend,
-    /// Worker threads for [`crate::shard::ShardedWorld::run_until`]: with
-    /// `threads ≥ 2` *and* at least two shards, instants execute on a
-    /// persistent shard-worker pool behind a deterministic barrier merge —
-    /// byte-identical to the sequential run, so this knob only buys
-    /// wall-clock. The classic [`World`] ignores it. `1` (the default)
-    /// means fully sequential.
+    /// Worker threads for [`World::run_until`]: with `threads ≥ 2` *and*
+    /// at least two shards, instants execute on a persistent shard-worker
+    /// pool behind a deterministic barrier merge — byte-identical to the
+    /// sequential run, so this knob only buys wall-clock. A one-shard world
+    /// ignores it. `1` (the default) means fully sequential.
     pub threads: usize,
 }
 
@@ -104,7 +87,6 @@ impl WorldConfig {
             record_messages: false,
             record_observations: true,
             batch_envelopes: false,
-            queue: QueueBackend::default(),
             threads: 1,
         }
     }
@@ -140,446 +122,22 @@ impl WorldConfig {
         self
     }
 
-    /// Selects the event-queue backend (builder style).
-    pub fn queue_backend(mut self, queue: QueueBackend) -> Self {
-        self.queue = queue;
+    /// A no-op: the event queue is always the timer wheel (see
+    /// [`QueueBackend`], which says why this method still exists).
+    pub fn queue_backend(self, _queue: QueueBackend) -> Self {
         self
     }
 
-    /// Sets the sharded-world worker-thread count (builder style). Clamped
-    /// to at least 1.
+    /// Sets the worker-thread count (builder style). Clamped to at least 1.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
         self
     }
 }
 
-/// A complete simulated system executing one run.
-///
-/// The world advances by draining a deterministic event queue. Each popped
-/// event triggers one atomic step of one node; effects (sends, timers,
-/// observations) are buffered during the step and routed after it returns.
-pub struct World<N: Node> {
-    nodes: Vec<N>,
-    crashed: Vec<bool>,
-    now: Time,
-    queue: EventQueue<N::Msg>,
-    delays: DelayModel,
-    rng: SplitMix64,
-    node_rngs: Vec<SplitMix64>,
-    trace: Trace<N::Msg, N::Obs>,
-    record_observations: bool,
-    batch_envelopes: bool,
-    obs_sink: Option<Box<dyn ObsSink<N::Obs>>>,
-    // Reusable effect buffers (avoid per-step allocation).
-    sends_buf: Vec<(ProcessId, N::Msg)>,
-    timers_buf: Vec<(u64, TimerId)>,
-    obs_buf: Vec<N::Obs>,
-    // Envelope pooling: payload vectors cycle world → event → world instead
-    // of being allocated per envelope, and the batching group list keeps its
-    // capacity across steps.
-    envelope_pool: Vec<Vec<N::Msg>>,
-    groups_buf: Vec<(ProcessId, Vec<N::Msg>)>,
-    metrics: SimMetrics,
-}
-
-impl<N: Node> std::fmt::Debug for World<N> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("World")
-            .field("nodes", &self.nodes.len())
-            .field("crashed", &self.crashed)
-            .field("now", &self.now)
-            .field("queue_len", &self.queue.len())
-            .finish_non_exhaustive()
-    }
-}
-
-impl<N: Node> World<N> {
-    /// Builds a world over `nodes` and delivers every node's `on_start` step
-    /// at time zero.
-    pub fn new(nodes: Vec<N>, cfg: WorldConfig) -> Self {
-        Self::build(nodes, cfg, None)
-    }
-
-    /// Builds a world with a streaming [`ObsSink`] attached. The sink must
-    /// be present from construction because the `on_start` steps run inside
-    /// it — attaching a sink after `new` would miss their observations.
-    pub fn new_with_sink(nodes: Vec<N>, cfg: WorldConfig, sink: Box<dyn ObsSink<N::Obs>>) -> Self {
-        Self::build(nodes, cfg, Some(sink))
-    }
-
-    fn build(nodes: Vec<N>, cfg: WorldConfig, obs_sink: Option<Box<dyn ObsSink<N::Obs>>>) -> Self {
-        let n = nodes.len();
-        let mut rng = SplitMix64::new(cfg.seed);
-        let node_rngs = (0..n).map(|_| rng.fork()).collect();
-        let mut world = World {
-            nodes,
-            crashed: vec![false; n],
-            now: Time::ZERO,
-            queue: EventQueue::with_backend(cfg.queue),
-            delays: cfg.delays,
-            rng,
-            node_rngs,
-            trace: Trace::new(cfg.record_messages),
-            record_observations: cfg.record_observations,
-            batch_envelopes: cfg.batch_envelopes,
-            obs_sink,
-            sends_buf: Vec::new(),
-            timers_buf: Vec::new(),
-            obs_buf: Vec::new(),
-            envelope_pool: Vec::new(),
-            groups_buf: Vec::new(),
-            metrics: SimMetrics::new(),
-        };
-        for &(pid, at) in cfg.crashes.crashes() {
-            assert!(pid.index() < n, "crash plan names unknown process {pid}");
-            if at == Time::ZERO {
-                // Dead from birth: take effect before start dispatch so the
-                // process never runs `on_start` (see the module docs).
-                if !world.crashed[pid.index()] {
-                    world.crashed[pid.index()] = true;
-                    world.metrics.crash_events.inc();
-                    world.trace.push(TraceEvent::Crash { at: Time::ZERO, pid });
-                }
-            } else {
-                world.queue.push(at, EventKind::Crash { pid });
-            }
-        }
-        world.metrics.queue_depth.set(world.queue.len() as u64);
-        // Start steps run immediately, in id order, before any event.
-        for i in 0..n {
-            if !world.crashed[i] {
-                world.dispatch_start(ProcessId::from_index(i));
-            }
-        }
-        world
-    }
-
-    /// Number of processes.
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Whether the system is empty (it never is in practice).
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
-
-    /// Current global time.
-    pub fn now(&self) -> Time {
-        self.now
-    }
-
-    /// Total atomic steps dispatched so far.
-    pub fn steps(&self) -> u64 {
-        self.metrics.steps.get()
-    }
-
-    /// Total messages sent so far (counted even when the trace does not
-    /// record message events).
-    pub fn messages_sent(&self) -> u64 {
-        self.metrics.messages_sent.get()
-    }
-
-    /// Total messages delivered to live processes so far.
-    pub fn messages_delivered(&self) -> u64 {
-        self.metrics.messages_delivered.get()
-    }
-
-    /// The full metric set of this run (counters, queue-depth gauge, delay
-    /// histogram). All values are logical quantities: reruns of the same
-    /// seed produce identical metrics.
-    pub fn metrics(&self) -> &SimMetrics {
-        &self.metrics
-    }
-
-    /// Flattened, key-sorted metric export; the delay histogram is labeled
-    /// with this world's [`DelayModel`] variant.
-    pub fn metrics_map(&self) -> crate::metrics::MetricMap {
-        self.metrics.export(self.delays.kind())
-    }
-
-    /// Read access to a node's state (for assertions and extraction).
-    pub fn node(&self, pid: ProcessId) -> &N {
-        &self.nodes[pid.index()]
-    }
-
-    /// Whether `pid` has crashed already.
-    pub fn is_crashed(&self, pid: ProcessId) -> bool {
-        self.crashed[pid.index()]
-    }
-
-    /// The recorded trace so far.
-    pub fn trace(&self) -> &Trace<N::Msg, N::Obs> {
-        &self.trace
-    }
-
-    /// Consumes the world, returning the trace. Any attached [`ObsSink`] is
-    /// dropped here; keep a shared handle (see the `Rc<RefCell<_>>` blanket
-    /// impl) or call [`World::take_obs_sink`] first to recover its state.
-    pub fn into_trace(self) -> Trace<N::Msg, N::Obs> {
-        self.trace
-    }
-
-    /// Detaches and returns the streaming sink, if one was attached. Later
-    /// observations are no longer streamed anywhere.
-    pub fn take_obs_sink(&mut self) -> Option<Box<dyn ObsSink<N::Obs>>> {
-        self.obs_sink.take()
-    }
-
-    /// Number of events still pending.
-    pub fn pending_events(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Executes the next event, if any. Returns `false` when the queue is
-    /// exhausted (the system is quiescent).
-    pub fn step(&mut self) -> bool {
-        let Some(ev) = self.queue.pop() else {
-            return false;
-        };
-        debug_assert!(ev.at >= self.now, "time must not run backwards");
-        self.now = ev.at;
-        match ev.kind {
-            EventKind::Crash { pid } => {
-                if !self.crashed[pid.index()] {
-                    self.crashed[pid.index()] = true;
-                    self.metrics.crash_events.inc();
-                    self.trace.push(TraceEvent::Crash { at: self.now, pid });
-                }
-            }
-            EventKind::Timer { pid, id } => {
-                if !self.crashed[pid.index()] {
-                    self.metrics.timer_fires.inc();
-                    self.dispatch_timer(pid, id);
-                }
-            }
-            EventKind::Deliver { from, to, msg } => {
-                if !self.crashed[to.index()] {
-                    self.metrics.messages_delivered.inc();
-                    if self.trace.records_messages {
-                        self.trace.push(TraceEvent::Deliver {
-                            at: self.now,
-                            from,
-                            to,
-                            msg: msg.clone(),
-                        });
-                    }
-                    self.dispatch_message(to, from, msg);
-                } else {
-                    // Messages to crashed processes vanish: the reliability
-                    // axiom only covers messages sent to correct processes.
-                    self.metrics.messages_dropped.inc();
-                }
-            }
-            EventKind::Envelope { from, to, mut msgs } => {
-                if !self.crashed[to.index()] {
-                    // FIFO within the envelope: dispatch in send order, one
-                    // atomic step per message (delivering k messages is
-                    // equivalent to k consecutive steps in the model).
-                    for msg in msgs.drain(..) {
-                        self.metrics.messages_delivered.inc();
-                        if self.trace.records_messages {
-                            self.trace.push(TraceEvent::Deliver {
-                                at: self.now,
-                                from,
-                                to,
-                                msg: msg.clone(),
-                            });
-                        }
-                        self.dispatch_message(to, from, msg);
-                    }
-                } else {
-                    self.metrics.messages_dropped.add(msgs.len() as u64);
-                    msgs.clear();
-                }
-                // Recycle the payload vector for a future envelope.
-                self.envelope_pool.push(msgs);
-            }
-        }
-        self.metrics.queue_depth.set(self.queue.len() as u64);
-        true
-    }
-
-    /// Runs until the queue is empty or global time exceeds `deadline`.
-    pub fn run_until(&mut self, deadline: Time) {
-        while let Some(t) = self.queue.peek_time() {
-            if t > deadline {
-                break;
-            }
-            self.step();
-        }
-        if self.now < deadline {
-            self.now = deadline;
-        }
-    }
-
-    /// Runs for `d` more ticks of virtual time.
-    pub fn run_for(&mut self, d: u64) {
-        let deadline = self.now + d;
-        self.run_until(deadline);
-    }
-
-    fn dispatch_start(&mut self, pid: ProcessId) {
-        let (sends, timers, obs) = {
-            let mut ctx = Context::new(
-                pid,
-                self.now,
-                &mut self.sends_buf,
-                &mut self.timers_buf,
-                &mut self.obs_buf,
-                &mut self.node_rngs[pid.index()],
-            );
-            self.nodes[pid.index()].on_start(&mut ctx);
-            (
-                std::mem::take(&mut self.sends_buf),
-                std::mem::take(&mut self.timers_buf),
-                std::mem::take(&mut self.obs_buf),
-            )
-        };
-        self.route_effects(pid, sends, timers, obs);
-    }
-
-    fn dispatch_message(&mut self, pid: ProcessId, from: ProcessId, msg: N::Msg) {
-        let (sends, timers, obs) = {
-            let mut ctx = Context::new(
-                pid,
-                self.now,
-                &mut self.sends_buf,
-                &mut self.timers_buf,
-                &mut self.obs_buf,
-                &mut self.node_rngs[pid.index()],
-            );
-            self.nodes[pid.index()].on_message(&mut ctx, from, msg);
-            (
-                std::mem::take(&mut self.sends_buf),
-                std::mem::take(&mut self.timers_buf),
-                std::mem::take(&mut self.obs_buf),
-            )
-        };
-        self.route_effects(pid, sends, timers, obs);
-    }
-
-    fn dispatch_timer(&mut self, pid: ProcessId, id: TimerId) {
-        let (sends, timers, obs) = {
-            let mut ctx = Context::new(
-                pid,
-                self.now,
-                &mut self.sends_buf,
-                &mut self.timers_buf,
-                &mut self.obs_buf,
-                &mut self.node_rngs[pid.index()],
-            );
-            self.nodes[pid.index()].on_timer(&mut ctx, id);
-            (
-                std::mem::take(&mut self.sends_buf),
-                std::mem::take(&mut self.timers_buf),
-                std::mem::take(&mut self.obs_buf),
-            )
-        };
-        self.route_effects(pid, sends, timers, obs);
-    }
-
-    fn route_effects(
-        &mut self,
-        pid: ProcessId,
-        mut sends: Vec<(ProcessId, N::Msg)>,
-        mut timers: Vec<(u64, TimerId)>,
-        mut obs: Vec<N::Obs>,
-    ) {
-        self.metrics.steps.inc();
-        for o in obs.drain(..) {
-            self.metrics.observations.inc();
-            if let Some(sink) = self.obs_sink.as_mut() {
-                sink.on_obs(self.now, pid, &o);
-            }
-            if self.record_observations {
-                self.trace.push(TraceEvent::Obs { at: self.now, pid, obs: o });
-            }
-        }
-        if self.batch_envelopes {
-            self.route_sends_batched(pid, &mut sends);
-        } else {
-            for (to, msg) in sends.drain(..) {
-                assert!(to.index() < self.nodes.len(), "send to unknown process {to}");
-                self.metrics.messages_sent.inc();
-                self.metrics.envelopes_sent.inc();
-                if self.trace.records_messages {
-                    self.trace.push(TraceEvent::Send {
-                        at: self.now,
-                        from: pid,
-                        to,
-                        msg: msg.clone(),
-                    });
-                }
-                let d = self.delays.sample(pid, to, self.now, &mut self.rng);
-                self.metrics.delay_ticks.record(d);
-                let at = Self::schedule_at(self.now, d, "delivery");
-                self.queue.push(at, EventKind::Deliver { from: pid, to, msg });
-            }
-        }
-        for (delay, id) in timers.drain(..) {
-            self.metrics.timers_set.inc();
-            let at = Self::schedule_at(self.now, delay, "timer");
-            self.queue.push(at, EventKind::Timer { pid, id });
-        }
-        self.metrics.queue_depth.set(self.queue.len() as u64);
-        // Return the (now empty) buffers for reuse.
-        self.sends_buf = sends;
-        self.timers_buf = timers;
-        self.obs_buf = obs;
-    }
-
-    /// Resolves the absolute instant of an effect scheduled `delay` ticks
-    /// from `now`, treating clock-horizon overflow as a hard error: a
-    /// saturated instant would park the event at [`Time::INFINITY`] forever
-    /// and livelock `run_until(Time::INFINITY)` (see [`Time::checked_add`]).
-    #[inline]
-    fn schedule_at(now: Time, delay: u64, what: &str) -> Time {
-        match now.checked_add(delay) {
-            Some(at) => at,
-            None => panic!("{what} scheduled past the clock horizon (t{now} + {delay} ticks)"),
-        }
-    }
-
-    /// Envelope batching: coalesce this step's sends by destination —
-    /// first-occurrence destination order, send order within a destination
-    /// (FIFO inside the envelope) — and give each envelope one delay draw.
-    /// The destination count per step is small, so the grouping is a linear
-    /// scan, not a map. Payload vectors come from the envelope pool and
-    /// return to it when the envelope is dispatched.
-    fn route_sends_batched(&mut self, pid: ProcessId, sends: &mut Vec<(ProcessId, N::Msg)>) {
-        let mut groups = std::mem::take(&mut self.groups_buf);
-        for (to, msg) in sends.drain(..) {
-            assert!(to.index() < self.nodes.len(), "send to unknown process {to}");
-            self.metrics.messages_sent.inc();
-            if self.trace.records_messages {
-                self.trace.push(TraceEvent::Send { at: self.now, from: pid, to, msg: msg.clone() });
-            }
-            match groups.iter_mut().find(|(t, _)| *t == to) {
-                Some((_, msgs)) => msgs.push(msg),
-                None => {
-                    let mut msgs = self.envelope_pool.pop().unwrap_or_default();
-                    msgs.push(msg);
-                    groups.push((to, msgs));
-                }
-            }
-        }
-        for (to, msgs) in groups.drain(..) {
-            self.metrics.envelopes_sent.inc();
-            self.metrics.envelope_occupancy.record(msgs.len() as u64);
-            let d = self.delays.sample(pid, to, self.now, &mut self.rng);
-            self.metrics.delay_ticks.record(d);
-            let at = Self::schedule_at(self.now, d, "envelope");
-            self.queue.push(at, EventKind::Envelope { from: pid, to, msgs });
-        }
-        self.groups_buf = groups;
-    }
-}
-
 impl<N: Node> dinefd_runtime::Runtime<N> for World<N> {
     /// The simulated backend of the runtime contract: `on_start` steps were
-    /// already dispatched at construction, so this drains the event queue to
+    /// already dispatched at construction, so this drains the event queues to
     /// `horizon` (virtual ticks) and projects the observation events out of
     /// the recorded trace. Requires observation recording to be on (the
     /// [`WorldConfig`] default).
@@ -589,441 +147,5 @@ impl<N: Node> dinefd_runtime::Runtime<N> for World<N> {
             .observations()
             .map(|(at, who, obs)| dinefd_runtime::ObsRecord { at, who, obs: obs.clone() })
             .collect()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// A node that floods a token around a ring `k` times.
-    #[derive(Debug)]
-    struct RingNode {
-        n: usize,
-        hops_left: u32,
-        received: u32,
-    }
-
-    impl Node for RingNode {
-        type Msg = u32;
-        type Obs = u32;
-
-        fn on_start(&mut self, ctx: &mut Context<'_, u32, u32>) {
-            if ctx.me() == ProcessId(0) {
-                let next = ProcessId::from_index((ctx.me().index() + 1) % self.n);
-                ctx.send(next, self.hops_left);
-            }
-        }
-
-        fn on_message(&mut self, ctx: &mut Context<'_, u32, u32>, _from: ProcessId, msg: u32) {
-            self.received += 1;
-            ctx.observe(msg);
-            if msg > 0 {
-                let next = ProcessId::from_index((ctx.me().index() + 1) % self.n);
-                ctx.send(next, msg - 1);
-            }
-        }
-    }
-
-    fn ring(n: usize, hops: u32) -> Vec<RingNode> {
-        (0..n).map(|_| RingNode { n, hops_left: hops, received: 0 }).collect()
-    }
-
-    #[test]
-    fn token_circulates_until_exhausted() {
-        let mut w = World::new(ring(4, 11), WorldConfig::new(3).record_messages());
-        while w.step() {}
-        // 12 deliveries total (hops 11..=0).
-        assert_eq!(w.trace().delivered_count(), 12);
-        let total: u32 = (0..4).map(|i| w.node(ProcessId(i)).received).sum();
-        assert_eq!(total, 12);
-    }
-
-    #[test]
-    fn same_seed_same_run() {
-        let run = |seed: u64| {
-            let mut w = World::new(ring(5, 40), WorldConfig::new(seed).record_messages());
-            while w.step() {}
-            (w.now(), w.trace().len())
-        };
-        assert_eq!(run(77), run(77));
-        // Different seeds virtually always give different schedules.
-        assert_ne!(run(77).0, run(78).0);
-    }
-
-    #[test]
-    fn crashed_process_stops_participating() {
-        let cfg = WorldConfig::new(5)
-            .crashes(CrashPlan::one(ProcessId(1), Time(1)))
-            .delays(DelayModel::Fixed(10))
-            .record_messages();
-        let mut w = World::new(ring(3, 30), cfg);
-        while w.step() {}
-        // p1 crashes at t=1 before the token (sent at t=0, arriving t=10)
-        // reaches it, so the token dies at p1: only p0's initial send exists.
-        assert_eq!(w.trace().sent_count(), 1);
-        assert_eq!(w.trace().delivered_count(), 0);
-        assert!(w.is_crashed(ProcessId(1)));
-        assert!(!w.is_crashed(ProcessId(0)));
-    }
-
-    /// Regression (ISSUE 2): a crash scheduled at `Time::ZERO` used to be
-    /// enqueued as an ordinary event, which fires only after the start
-    /// steps — so a dead-from-birth process still ran `on_start` and could
-    /// send messages. It must take no steps at all.
-    #[test]
-    fn crash_at_time_zero_suppresses_start_step() {
-        // p0 is the ring initiator; crashing it at t=0 must kill the run
-        // before any message exists.
-        let cfg =
-            WorldConfig::new(3).crashes(CrashPlan::one(ProcessId(0), Time::ZERO)).record_messages();
-        let mut w = World::new(ring(3, 10), cfg);
-        assert!(w.is_crashed(ProcessId(0)), "t=0 crash must be effective before starts");
-        while w.step() {}
-        assert_eq!(w.trace().sent_count(), 0, "a dead-from-birth process must not send");
-        assert_eq!(w.steps(), 2, "only the two live processes take their start steps");
-        // The crash itself is still visible to the spec checkers.
-        assert!(w
-            .trace()
-            .events()
-            .iter()
-            .any(|e| matches!(e, TraceEvent::Crash { at: Time::ZERO, pid: ProcessId(0) })));
-    }
-
-    #[test]
-    fn crash_at_time_zero_also_silences_timers() {
-        let cfg = WorldConfig::new(2).crashes(CrashPlan::one(ProcessId(0), Time::ZERO));
-        let mut w = World::new(vec![TimerNode { fired: 0, limit: 5 }], cfg);
-        while w.step() {}
-        assert_eq!(w.node(ProcessId(0)).fired, 0);
-        assert_eq!(w.pending_events(), 0);
-    }
-
-    #[test]
-    fn metrics_mirror_legacy_accessors() {
-        let mut w = World::new(ring(4, 25), WorldConfig::new(3).record_messages());
-        while w.step() {}
-        let m = w.metrics();
-        assert_eq!(m.steps.get(), w.steps());
-        assert_eq!(m.messages_sent.get(), w.messages_sent());
-        assert_eq!(m.messages_delivered.get(), w.messages_delivered());
-        assert_eq!(m.delay_ticks.count(), w.messages_sent(), "every send samples one delay");
-        assert!(m.queue_depth.high_water() >= 1);
-        assert_eq!(m.queue_depth.get(), 0, "drained world has an empty queue");
-        let map = w.metrics_map();
-        assert_eq!(map["steps"], w.steps());
-        assert!(map.contains_key("delay_ticks.uniform.count"), "histogram labeled by model");
-    }
-
-    #[test]
-    fn run_until_respects_deadline() {
-        let mut w = World::new(ring(4, 1000), WorldConfig::new(9));
-        w.run_until(Time(50));
-        assert!(w.now() >= Time(50));
-        let before = w.trace().observations().count();
-        w.run_for(200);
-        assert!(w.trace().observations().count() > before);
-    }
-
-    #[test]
-    fn observations_are_chronological() {
-        let mut w = World::new(ring(3, 100), WorldConfig::new(11));
-        while w.step() {}
-        let times: Vec<Time> = w.trace().observations().map(|(t, _, _)| t).collect();
-        assert!(times.windows(2).all(|w| w[0] <= w[1]));
-    }
-
-    /// A node that re-arms a timer a fixed number of times.
-    #[derive(Debug)]
-    struct TimerNode {
-        fired: u32,
-        limit: u32,
-    }
-
-    impl Node for TimerNode {
-        type Msg = ();
-        type Obs = u32;
-
-        fn on_start(&mut self, ctx: &mut Context<'_, (), u32>) {
-            ctx.set_timer(5, TimerId(0));
-        }
-
-        fn on_message(&mut self, _ctx: &mut Context<'_, (), u32>, _from: ProcessId, _msg: ()) {}
-
-        fn on_timer(&mut self, ctx: &mut Context<'_, (), u32>, id: TimerId) {
-            assert_eq!(id, TimerId(0));
-            self.fired += 1;
-            ctx.observe(self.fired);
-            if self.fired < self.limit {
-                ctx.set_timer(5, TimerId(0));
-            }
-        }
-    }
-
-    #[test]
-    fn timers_fire_and_rearm() {
-        let mut w = World::new(vec![TimerNode { fired: 0, limit: 7 }], WorldConfig::new(1));
-        while w.step() {}
-        assert_eq!(w.node(ProcessId(0)).fired, 7);
-        assert_eq!(w.now(), Time(35));
-    }
-
-    /// A sink that folds observations into a running count + checksum.
-    #[derive(Debug, Default)]
-    struct FoldSink {
-        seen: Vec<(Time, ProcessId, u32)>,
-    }
-
-    impl ObsSink<u32> for FoldSink {
-        fn on_obs(&mut self, at: Time, pid: ProcessId, obs: &u32) {
-            self.seen.push((at, pid, *obs));
-        }
-    }
-
-    #[test]
-    fn obs_sink_streams_exactly_the_trace_observations() {
-        use std::cell::RefCell;
-        use std::rc::Rc;
-        let sink = Rc::new(RefCell::new(FoldSink::default()));
-        let mut w =
-            World::new_with_sink(ring(4, 23), WorldConfig::new(9), Box::new(Rc::clone(&sink)));
-        while w.step() {}
-        let from_trace: Vec<(Time, ProcessId, u32)> =
-            w.trace().observations().map(|(t, p, &o)| (t, p, o)).collect();
-        assert!(!from_trace.is_empty());
-        assert_eq!(sink.borrow().seen, from_trace, "sink must mirror the trace stream");
-        assert_eq!(w.metrics().observations.get(), from_trace.len() as u64);
-    }
-
-    #[test]
-    fn observation_events_off_keeps_sink_fed_but_trace_lean() {
-        use std::cell::RefCell;
-        use std::rc::Rc;
-        let sink = Rc::new(RefCell::new(FoldSink::default()));
-        let cfg = WorldConfig::new(9).observation_events_off();
-        let mut w = World::new_with_sink(ring(4, 23), cfg, Box::new(Rc::clone(&sink)));
-        while w.step() {}
-        assert_eq!(w.trace().observations().count(), 0, "trace must not retain observations");
-        assert_eq!(w.trace().len(), 0, "nothing else recorded either (messages off)");
-        assert_eq!(sink.borrow().seen.len() as u64, w.metrics().observations.get());
-        assert!(w.metrics().observations.get() > 0);
-    }
-
-    #[test]
-    fn obs_sink_attachment_does_not_change_the_schedule() {
-        let bare = {
-            let mut w = World::new(ring(5, 40), WorldConfig::new(77));
-            while w.step() {}
-            (w.now(), w.steps(), w.messages_sent())
-        };
-        let sunk = {
-            let sink = std::rc::Rc::new(std::cell::RefCell::new(FoldSink::default()));
-            let mut w = World::new_with_sink(ring(5, 40), WorldConfig::new(77), Box::new(sink));
-            while w.step() {}
-            (w.now(), w.steps(), w.messages_sent())
-        };
-        assert_eq!(bare, sunk);
-    }
-
-    /// A node that sends a burst of messages to one peer per timer fire —
-    /// the shape envelope batching coalesces.
-    #[derive(Debug)]
-    struct Burst {
-        rounds_left: u32,
-        burst: u32,
-        received: Vec<u32>,
-    }
-
-    impl Node for Burst {
-        type Msg = u32;
-        type Obs = u32;
-
-        fn on_start(&mut self, ctx: &mut Context<'_, u32, u32>) {
-            if ctx.me() == ProcessId(0) {
-                ctx.set_timer(5, TimerId(0));
-            }
-        }
-
-        fn on_message(&mut self, ctx: &mut Context<'_, u32, u32>, _from: ProcessId, msg: u32) {
-            self.received.push(msg);
-            ctx.observe(msg);
-        }
-
-        fn on_timer(&mut self, ctx: &mut Context<'_, u32, u32>, _id: TimerId) {
-            for k in 0..self.burst {
-                ctx.send(ProcessId(1), self.rounds_left * 100 + k);
-            }
-            if self.rounds_left > 0 {
-                self.rounds_left -= 1;
-                ctx.set_timer(5, TimerId(0));
-            }
-        }
-    }
-
-    fn burst_nodes(rounds: u32, burst: u32) -> Vec<Burst> {
-        (0..2).map(|_| Burst { rounds_left: rounds, burst, received: Vec::new() }).collect()
-    }
-
-    #[test]
-    fn envelope_batching_coalesces_per_step_sends_with_one_delay_draw() {
-        let cfg = WorldConfig::new(3).batch_envelopes();
-        let mut w = World::new(burst_nodes(9, 4), cfg);
-        while w.step() {}
-        let m = w.metrics();
-        assert_eq!(m.messages_sent.get(), 40, "10 timer fires x 4 msgs");
-        assert_eq!(m.envelopes_sent.get(), 10, "one envelope per bursting step");
-        assert_eq!(m.delay_ticks.count(), 10, "one delay draw per envelope");
-        assert_eq!(m.envelope_occupancy.count(), 10);
-        assert_eq!(m.envelope_occupancy.max(), 4);
-        assert_eq!(m.envelope_occupancy.sum(), m.messages_sent.get());
-        assert_eq!(m.messages_delivered.get(), 40, "every message still delivered");
-    }
-
-    #[test]
-    fn envelope_batching_preserves_fifo_within_an_envelope() {
-        let cfg = WorldConfig::new(5).batch_envelopes();
-        let mut w = World::new(burst_nodes(5, 6), cfg);
-        while w.step() {}
-        // Messages of one burst share an envelope, so their receive order is
-        // their send order: within each round, k ascends 0..6.
-        let received = &w.node(ProcessId(1)).received;
-        assert_eq!(received.len(), 36);
-        for chunk in received.chunks(6) {
-            let ks: Vec<u32> = chunk.iter().map(|m| m % 100).collect();
-            assert_eq!(ks, vec![0, 1, 2, 3, 4, 5], "within-envelope order broken: {received:?}");
-        }
-    }
-
-    #[test]
-    fn envelope_batching_off_matches_on_under_fixed_delays() {
-        // With a deterministic delay model the single envelope draw equals
-        // every per-message draw, so the two schedules are identical up to
-        // within-instant interleaving across *different* destinations —
-        // for a single destination the runs must agree exactly.
-        let run = |batch: bool| {
-            let cfg = WorldConfig::new(8).delays(DelayModel::Fixed(7));
-            let cfg = if batch { cfg.batch_envelopes() } else { cfg };
-            let mut w = World::new(burst_nodes(7, 3), cfg);
-            while w.step() {}
-            (w.now(), w.node(ProcessId(1)).received.clone())
-        };
-        assert_eq!(run(false), run(true));
-    }
-
-    #[test]
-    fn envelopes_to_crashed_receivers_are_dropped_whole() {
-        let cfg = WorldConfig::new(4)
-            .batch_envelopes()
-            .delays(DelayModel::Fixed(10))
-            .crashes(CrashPlan::one(ProcessId(1), Time(1)));
-        let mut w = World::new(burst_nodes(2, 5), cfg);
-        while w.step() {}
-        let m = w.metrics();
-        assert_eq!(m.messages_delivered.get(), 0);
-        assert_eq!(m.messages_dropped.get(), m.messages_sent.get());
-    }
-
-    #[test]
-    fn timers_of_crashed_process_do_not_fire() {
-        let cfg = WorldConfig::new(1).crashes(CrashPlan::one(ProcessId(0), Time(12)));
-        let mut w = World::new(vec![TimerNode { fired: 0, limit: 100 }], cfg);
-        while w.step() {}
-        // Fires at t=5 and t=10; crash at t=12 silences the rest.
-        assert_eq!(w.node(ProcessId(0)).fired, 2);
-    }
-
-    /// A node that jumps to the clock horizon and keeps re-arming there —
-    /// the shape that used to livelock `run_until(Time::INFINITY)`.
-    #[derive(Debug)]
-    struct HorizonNode;
-
-    impl Node for HorizonNode {
-        type Msg = ();
-        type Obs = ();
-
-        fn on_start(&mut self, ctx: &mut Context<'_, (), ()>) {
-            // t=0 + u64::MAX lands exactly on Time::INFINITY — legal.
-            ctx.set_timer(u64::MAX, TimerId(0));
-        }
-
-        fn on_message(&mut self, _ctx: &mut Context<'_, (), ()>, _from: ProcessId, _msg: ()) {}
-
-        fn on_timer(&mut self, ctx: &mut Context<'_, (), ()>, _id: TimerId) {
-            // Re-arming at the horizon used to *saturate* back to
-            // Time::INFINITY, so this timer fired again and again at the
-            // same instant and the run never terminated.
-            ctx.set_timer(1, TimerId(0));
-        }
-    }
-
-    /// Regression (ISSUE 7): `Time`'s saturating `Add` silently pinned
-    /// past-horizon events at `Time::INFINITY`, so a node re-arming a timer
-    /// there livelocked `run_until(Time::INFINITY)` — the queue never
-    /// drained and time never advanced. Past-horizon scheduling is now a
-    /// hard error instead of an infinite loop.
-    #[test]
-    #[should_panic(expected = "timer scheduled past the clock horizon")]
-    fn rearming_at_the_horizon_is_a_hard_error_not_a_livelock() {
-        let mut w = World::new(vec![HorizonNode], WorldConfig::new(1));
-        w.run_until(Time::INFINITY);
-    }
-
-    /// A node that sends one message to a process that does not exist.
-    #[derive(Debug)]
-    struct StraySender;
-
-    impl Node for StraySender {
-        type Msg = ();
-        type Obs = ();
-
-        fn on_start(&mut self, ctx: &mut Context<'_, (), ()>) {
-            ctx.send(ProcessId(99), ());
-        }
-
-        fn on_message(&mut self, _ctx: &mut Context<'_, (), ()>, _from: ProcessId, _msg: ()) {}
-    }
-
-    /// Regression (ISSUE 7): unknown destinations were guarded only by
-    /// `debug_assert!`, so a release build silently enqueued the delivery
-    /// and corrupted routing state downstream. The guard is now an
-    /// `assert!` in every build profile and both routing paths — CI runs
-    /// this test under `--release` to pin the release-mode behavior.
-    #[test]
-    #[should_panic(expected = "send to unknown process p99")]
-    fn sending_to_an_unknown_process_panics_unbatched() {
-        World::new(vec![StraySender], WorldConfig::new(1));
-    }
-
-    #[test]
-    #[should_panic(expected = "send to unknown process p99")]
-    fn sending_to_an_unknown_process_panics_batched() {
-        World::new(vec![StraySender], WorldConfig::new(1).batch_envelopes());
-    }
-
-    /// Tentpole differential: the timer wheel and the binary heap must
-    /// produce byte-identical runs — same final clock, same trace, same
-    /// metrics — across delay models, batching, and crashes.
-    #[test]
-    fn wheel_and_heap_worlds_are_byte_identical() {
-        let delay_models: [fn() -> DelayModel; 3] =
-            [DelayModel::default_async, DelayModel::harsh, || DelayModel::Fixed(3)];
-        let run = |backend: QueueBackend, delays: fn() -> DelayModel, batch: bool| {
-            let cfg = WorldConfig::new(41)
-                .delays(delays())
-                .crashes(CrashPlan::one(ProcessId(2), Time(60)))
-                .record_messages()
-                .queue_backend(backend);
-            let cfg = if batch { cfg.batch_envelopes() } else { cfg };
-            let mut w = World::new(ring(5, 200), cfg);
-            while w.step() {}
-            (w.now(), w.metrics_map(), format!("{:?}", w.trace().events()))
-        };
-        for batch in [false, true] {
-            for delays in delay_models {
-                let wheel = run(QueueBackend::Wheel, delays, batch);
-                let heap = run(QueueBackend::Heap, delays, batch);
-                assert_eq!(wheel, heap, "backend divergence (batch={batch})");
-            }
-        }
     }
 }

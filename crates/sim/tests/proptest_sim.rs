@@ -278,8 +278,8 @@ fn sharded_fingerprint(
     if batch {
         cfg = cfg.batch_envelopes();
     }
-    let mut w =
-        dinefd_sim::ShardedWorld::new_with_sink(nodes, cfg, shards, Box::new(Arc::clone(&sink)));
+    let mut w = World::try_new_with_sink(nodes, cfg, shards, Box::new(Arc::clone(&sink)))
+        .expect("at least one shard");
     w.run_until(Time(3_000));
     let metrics: Vec<(String, u64)> = w.metrics_map().into_iter().collect();
     let now = w.now();
