@@ -1,6 +1,6 @@
 //! Criterion bench: exhaustive state-space exploration cost (E7 companion).
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dinefd_explore::{explore, explore_composed, fair_run, ComposedConfig, ExploreConfig};
 
 fn bench_explore_depth(c: &mut Criterion) {
@@ -10,29 +10,6 @@ fn bench_explore_depth(c: &mut Criterion) {
             b.iter(|| {
                 let r = explore(&ExploreConfig { max_depth: depth, ..Default::default() });
                 assert!(r.clean());
-                r.states_visited
-            });
-        });
-    }
-    group.finish();
-}
-
-/// Work-stealing engine vs serial on a fixed state space. Criterion's
-/// element throughput (states/sec) makes the speedup directly readable; on
-/// a single-core host the thread counts are expected to tie.
-fn bench_parallel_threads(c: &mut Criterion) {
-    let depth = 40u32;
-    let base = ExploreConfig { max_depth: depth, ..Default::default() };
-    let states = explore(&base).states_visited;
-    let mut group = c.benchmark_group("parallel_exploration");
-    group.sample_size(10);
-    group.throughput(Throughput::Elements(states as u64));
-    for threads in [1usize, 2, 4, 8] {
-        group.bench_function(BenchmarkId::new("threads", threads), |b| {
-            b.iter(|| {
-                let r = explore(&ExploreConfig { threads, ..base });
-                assert!(r.clean());
-                assert_eq!(r.states_visited, states, "nondeterministic parallel search");
                 r.states_visited
             });
         });
@@ -66,11 +43,5 @@ fn bench_composed_depth(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_explore_depth,
-    bench_parallel_threads,
-    bench_composed_depth,
-    bench_fair_run
-);
+criterion_group!(benches, bench_explore_depth, bench_composed_depth, bench_fair_run);
 criterion_main!(benches);

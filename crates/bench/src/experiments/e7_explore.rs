@@ -8,9 +8,6 @@ use dinefd_sim::MetricMap;
 use crate::table::{Report, Table};
 use crate::ExperimentConfig;
 
-/// Thread count the cross-check column runs the parallel engine with.
-const PAR_THREADS: usize = 4;
-
 /// Runs E7 and returns the report.
 pub fn run(cfg: &ExperimentConfig) -> Report {
     // The deepest rows are the depth frontier the fingerprinted store
@@ -27,44 +24,25 @@ pub fn run(cfg: &ExperimentConfig) -> Report {
             "violations",
             "deadlocks",
             "kstates/s",
-            "par agree",
-            "por agree",
         ],
     );
     let mut metrics = MetricMap::new();
     let mut states_total = 0u64;
     let mut transitions_total = 0u64;
     let mut rows_total = 0u64;
-    let mut agree_total = 0u64;
-    let mut por_agree_total = 0u64;
     for &strict in &[false, true] {
         for &allow_crash in &[true, false] {
             for &depth in depths {
-                let base = ExploreConfig {
+                let report = explore(&ExploreConfig {
                     max_depth: depth,
                     max_states: 5_000_000,
                     strict_seq: strict,
                     allow_crash,
                     ..Default::default()
-                };
-                let report = explore(&base);
-                // Cross-checks: the work-stealing engine and the POR run
-                // must reach the same verdict on the same configuration.
-                let par = explore(&ExploreConfig { threads: PAR_THREADS, ..base });
-                let por = explore(&ExploreConfig { por: true, ..base });
-                let agree = par.states_visited == report.states_visited
-                    && par.transitions == report.transitions
-                    && par.clean() == report.clean()
-                    && par.deadlocks == report.deadlocks;
-                let por_agree = por.states_visited == report.states_visited
-                    && por.transitions == report.transitions
-                    && por.clean() == report.clean()
-                    && por.deadlocks == report.deadlocks;
+                });
                 states_total += report.states_visited as u64;
                 transitions_total += report.transitions;
                 rows_total += 1;
-                agree_total += agree as u64;
-                por_agree_total += por_agree as u64;
                 safety.row(vec![
                     if strict { "hardened".into() } else { "paper".to_string() },
                     if allow_crash { "yes".into() } else { "no".to_string() },
@@ -74,8 +52,6 @@ pub fn run(cfg: &ExperimentConfig) -> Report {
                     report.violations.len().to_string(),
                     report.deadlocks.to_string(),
                     format!("{:.0}", report.stats.states_per_sec / 1_000.0),
-                    if agree { "yes".into() } else { "NO".to_string() },
-                    if por_agree { "yes".into() } else { "NO".to_string() },
                 ]);
             }
         }
@@ -93,37 +69,21 @@ pub fn run(cfg: &ExperimentConfig) -> Report {
             "violations",
             "deadlocks",
             "kstates/s",
-            "par agree",
-            "por agree",
-            "por skips",
         ],
     );
     for &(allow_crash, allow_mistakes) in &[(false, false), (true, false), (true, true)] {
         for &depth in composed_depths {
-            let base = ComposedConfig {
+            let r = explore_composed(&ComposedConfig {
                 max_depth: depth,
                 max_states: 3_000_000,
                 allow_crash,
                 allow_mistakes,
                 strict_seq: false,
                 ..Default::default()
-            };
-            let r = explore_composed(&base);
-            let par = explore_composed(&ComposedConfig { threads: PAR_THREADS, ..base });
-            let por = explore_composed(&ComposedConfig { por: true, ..base });
-            let agree = par.states_visited == r.states_visited
-                && par.transitions == r.transitions
-                && par.clean() == r.clean()
-                && par.deadlocks == r.deadlocks;
-            let por_agree = por.states_visited == r.states_visited
-                && por.transitions == r.transitions
-                && por.clean() == r.clean()
-                && por.deadlocks == r.deadlocks;
+            });
             states_total += r.states_visited as u64;
             transitions_total += r.transitions;
             rows_total += 1;
-            agree_total += agree as u64;
-            por_agree_total += por_agree as u64;
             composed.row(vec![
                 if allow_crash { "yes".into() } else { "no".to_string() },
                 if allow_mistakes { "yes".into() } else { "no".to_string() },
@@ -133,9 +93,6 @@ pub fn run(cfg: &ExperimentConfig) -> Report {
                 r.violations.len().to_string(),
                 r.deadlocks.to_string(),
                 format!("{:.0}", r.stats.states_per_sec / 1_000.0),
-                if agree { "yes".into() } else { "NO".to_string() },
-                if por_agree { "yes".into() } else { "NO".to_string() },
-                por.stats.sleep_skips.get().to_string(),
             ]);
         }
     }
@@ -178,8 +135,6 @@ pub fn run(cfg: &ExperimentConfig) -> Report {
     metrics.insert("states_total".into(), states_total);
     metrics.insert("transitions_total".into(), transitions_total);
     metrics.insert("exhaustive_rows".into(), rows_total);
-    metrics.insert("par_agree_rows".into(), agree_total);
-    metrics.insert("por_agree_rows".into(), por_agree_total);
     Report {
         title: "E7 — mechanical lemma checking (exhaustive + fair runs)".into(),
         preamble: "The corrigendum to this paper exists because message-regime proofs \
@@ -191,16 +146,9 @@ pub fn run(cfg: &ExperimentConfig) -> Report {
                    are checked on weakly-fair schedules."
             .into(),
         tables: vec![safety, composed, liveness],
-        notes: vec![format!(
-            "\"par agree\" re-runs each exhaustive row on the work-stealing \
-             engine ({PAR_THREADS} threads, sharded visited table) and \"por \
-             agree\" with sleep-set POR, comparing states/transitions/clean/\
-             deadlocks; \"kstates/s\" is the serial engine's throughput. The \
-             faithful pair wire is strictly sequential, so POR only finds \
-             skippable interleavings on the composed model's fork traffic \
-             (\"por skips\"). See E8 for the thread-scaling sweep and the \
-             depth frontier."
-        )],
+        notes: vec!["\"kstates/s\" is the explorer's throughput (one serial \
+                     depth-first engine; see E8 for the depth frontier)."
+            .into()],
         metrics,
     }
 }
@@ -216,25 +164,14 @@ mod tests {
         for row in &report.tables[0].rows {
             assert_eq!(row[5], "0", "safety violations: {row:?}");
             assert_eq!(row[6], "0", "deadlocks: {row:?}");
-            assert_eq!(row[8], "yes", "parallel disagreed with serial: {row:?}");
-            assert_eq!(row[9], "yes", "POR disagreed with full exploration: {row:?}");
         }
         for row in &report.tables[1].rows {
             assert_eq!(row[5], "0", "composed violations: {row:?}");
             assert_eq!(row[6], "0", "composed deadlocks: {row:?}");
-            assert_eq!(row[8], "yes", "parallel disagreed with serial: {row:?}");
-            assert_eq!(row[9], "yes", "POR disagreed with full exploration: {row:?}");
         }
         for row in &report.tables[2].rows {
             assert_eq!(row[5], "true", "witnesses must alternate: {row:?}");
         }
-        assert_eq!(report.metrics["par_agree_rows"], report.metrics["exhaustive_rows"]);
-        assert_eq!(report.metrics["por_agree_rows"], report.metrics["exhaustive_rows"]);
         assert!(report.metrics["states_total"] > 0);
-        // POR must actually fire somewhere in the composed sweep.
-        assert!(
-            report.tables[1].rows.iter().any(|r| r[10] != "0"),
-            "composed POR never skipped anything"
-        );
     }
 }

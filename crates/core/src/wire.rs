@@ -4,6 +4,11 @@
 //! [`DiningMsg`](dinefd_dining::DiningMsg) reuses its own codec from
 //! `dinefd-dining`. Canonical and exact-roundtrip, like every codec the
 //! live transport carries.
+//!
+//! Each pair runs exactly two dining instances, and the host indexes
+//! `[_; 2]` arrays with the `instance` byte, so the decoder rejects any
+//! instance above 1 with [`WireError::BadTag`] instead of letting a corrupt
+//! frame reach an out-of-bounds index.
 
 use dinefd_sim::{ProcessId, Wire, WireError, WireReader, WireWriter};
 
@@ -41,23 +46,32 @@ impl Wire for RedMsg {
             0 => Ok(RedMsg::Dx {
                 watcher: ProcessId::decode(r)?,
                 subject: ProcessId::decode(r)?,
-                instance: r.u8()?,
+                instance: instance(r)?,
                 inner: Wire::decode(r)?,
             }),
             1 => Ok(RedMsg::Ping {
                 watcher: ProcessId::decode(r)?,
                 subject: ProcessId::decode(r)?,
-                instance: r.u8()?,
+                instance: instance(r)?,
                 seq: r.u64()?,
             }),
             2 => Ok(RedMsg::Ack {
                 watcher: ProcessId::decode(r)?,
                 subject: ProcessId::decode(r)?,
-                instance: r.u8()?,
+                instance: instance(r)?,
                 seq: r.u64()?,
             }),
             t => Err(WireError::BadTag(t)),
         }
+    }
+}
+
+/// Reads a dining-instance byte, which must name one of the pair's two
+/// instances.
+fn instance(r: &mut WireReader<'_>) -> Result<u8, WireError> {
+    match r.u8()? {
+        i @ 0..=1 => Ok(i),
+        i => Err(WireError::BadTag(i)),
     }
 }
 
@@ -94,5 +108,22 @@ mod tests {
             RedMsg::Ping { watcher: ProcessId(0), subject: ProcessId(1), instance: 0, seq: 5 }
                 .to_bytes();
         assert!(RedMsg::from_bytes(&bytes[..bytes.len() - 1]).is_err());
+    }
+
+    #[test]
+    fn out_of_range_instance_is_rejected() {
+        let (w, s) = (ProcessId(0), ProcessId(1));
+        for msg in [
+            RedMsg::Dx {
+                watcher: w,
+                subject: s,
+                instance: 2,
+                inner: DiningMsg::WfDx(WxMsg::Request(Ts { clock: 1, id: 0 })),
+            },
+            RedMsg::Ping { watcher: w, subject: s, instance: 2, seq: 7 },
+            RedMsg::Ack { watcher: s, subject: w, instance: 2, seq: 7 },
+        ] {
+            assert_eq!(RedMsg::from_bytes(&msg.to_bytes()), Err(WireError::BadTag(2)), "{msg:?}");
+        }
     }
 }

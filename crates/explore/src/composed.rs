@@ -30,9 +30,7 @@ use dinefd_dining::{DinerPhase, DiningIo, DiningMsg, DiningParticipant};
 use dinefd_fd::FdQuery;
 use dinefd_sim::{ProcessId, Time};
 
-use crate::parallel::{parallel_search, serial_search, SearchModel, SearchStats, ViolationRecord};
-use crate::por::DeliveryClass;
-use crate::search::fmt_path;
+use crate::engine::{search, SearchModel, SearchReport};
 
 const P: ProcessId = ProcessId(0); // watcher
 const Q: ProcessId = ProcessId(1); // subject
@@ -87,13 +85,10 @@ pub struct ComposedConfig {
     pub allow_mistakes: bool,
     /// Harden the subject machine (sequence-checked acks).
     pub strict_seq: bool,
-    /// Worker threads: `1` (default) runs the serial DFS, `>= 2` the
-    /// work-stealing parallel engine. Verdicts are schedule-independent.
+    /// Ignored: the explorer has one serial engine. Kept only because the
+    /// frozen `perfbench` crate still sets it; the next benchmark change
+    /// deletes it.
     pub threads: usize,
-    /// Enable sleep-set partial-order reduction over commuting
-    /// dx/ping/ack deliveries ([`crate::por`]). Off by default; every
-    /// reported figure is identical with POR on or off.
-    pub por: bool,
 }
 
 impl Default for ComposedConfig {
@@ -105,7 +100,6 @@ impl Default for ComposedConfig {
             allow_mistakes: true,
             strict_seq: false,
             threads: 1,
-            por: false,
         }
     }
 }
@@ -235,7 +229,7 @@ impl ComposedState {
     }
 
     /// Enumerates successors into `out` (the allocation-free form the search
-    /// engines drive with a reused scratch buffer). Eat-start overlap
+    /// engine drives with a reused scratch buffer). Eat-start overlap
     /// legality is checked by the caller comparing phases across the
     /// transition.
     pub fn successors_into(
@@ -360,7 +354,7 @@ impl ComposedState {
     }
 
     /// Enumerates successors as a fresh vector (trace replay and property
-    /// tests; the engines use [`ComposedState::successors_into`]).
+    /// tests; the engine uses [`ComposedState::successors_into`]).
     pub fn successors(&self, cfg: &ComposedConfig) -> Vec<(ComposedLabel, ComposedState)> {
         let mut out = Vec::new();
         self.successors_into(cfg, &mut out);
@@ -572,33 +566,9 @@ fn exclusion_step_violations(state: &ComposedState, next: &ComposedState) -> Vec
 }
 
 /// Result of a composed exploration.
-#[derive(Clone, Debug)]
-pub struct ComposedReport {
-    /// Distinct states.
-    pub states_visited: usize,
-    /// Transitions traversed (see the caveat on
-    /// [`crate::search::ExploreReport::transitions`]).
-    pub transitions: u64,
-    /// Invariant / exclusion violations.
-    pub violations: Vec<String>,
-    /// Structured violations with replayable counterexample paths.
-    pub records: Vec<ViolationRecord<ComposedLabel>>,
-    /// Dead states (no successors).
-    pub deadlocks: usize,
-    /// Whether the state budget truncated the search.
-    pub truncated: bool,
-    /// Throughput and contention counters of this run.
-    pub stats: SearchStats,
-}
+pub type ComposedReport = SearchReport<ComposedLabel>;
 
-impl ComposedReport {
-    /// All checks passed everywhere explored.
-    pub fn clean(&self) -> bool {
-        self.violations.is_empty() && self.deadlocks == 0
-    }
-}
-
-/// The composed model seen through the engines' eyes.
+/// The composed model seen through the engine's eyes.
 struct ComposedSearch<'a>(&'a ComposedConfig);
 
 impl SearchModel for ComposedSearch<'_> {
@@ -621,50 +591,13 @@ impl SearchModel for ComposedSearch<'_> {
     ) -> Vec<String> {
         exclusion_step_violations(s, next)
     }
-
-    fn delivery_class(&self, label: ComposedLabel) -> Option<DeliveryClass> {
-        // The three delivery labels each consume one message from one pool
-        // and step disjoint components (fork endpoints vs witness vs
-        // subject); see `crate::por` for the independence argument.
-        // Machine actions, ticks, crashes, and mistake flags stay
-        // unclassified and are never slept.
-        match label {
-            ComposedLabel::DeliverDx(d) => Some(DeliveryClass::Dx(d)),
-            ComposedLabel::DeliverPing(k) => Some(DeliveryClass::Ping(k)),
-            ComposedLabel::DeliverAck(j) => Some(DeliveryClass::Ack(j)),
-            _ => None,
-        }
-    }
-
-    fn por(&self) -> bool {
-        self.0.por
-    }
 }
 
-/// Depth-bounded exhaustive exploration of the composed model. Dispatches
-/// on [`ComposedConfig::threads`] exactly like [`crate::explore`], through
-/// the same engines and the same fingerprinted visited store.
+/// Depth-bounded exhaustive exploration of the composed model, through the
+/// same engine and the same fingerprinted visited store as
+/// [`crate::explore`].
 pub fn explore_composed(cfg: &ComposedConfig) -> ComposedReport {
-    let model = ComposedSearch(cfg);
-    let initial = ComposedState::initial(cfg);
-    let outcome = if cfg.threads <= 1 {
-        serial_search(&model, initial, cfg.max_depth, cfg.max_states)
-    } else {
-        parallel_search(&model, initial, cfg.max_depth, cfg.max_states, cfg.threads)
-    };
-    ComposedReport {
-        states_visited: outcome.states_visited,
-        transitions: outcome.transitions,
-        violations: outcome
-            .violations
-            .iter()
-            .map(|r| format!("{} (after {})", r.message, fmt_path(&r.path, None)))
-            .collect(),
-        records: outcome.violations,
-        deadlocks: outcome.deadlocks,
-        truncated: outcome.truncated,
-        stats: outcome.stats,
-    }
+    search(&ComposedSearch(cfg), ComposedState::initial(cfg), cfg.max_depth, cfg.max_states)
 }
 
 #[cfg(test)]
@@ -707,37 +640,6 @@ mod tests {
         };
         let r = explore_composed(&cfg);
         assert!(r.clean(), "violations: {:#?}", r.violations);
-    }
-
-    #[test]
-    fn composed_parallel_agrees_with_serial() {
-        let base = ComposedConfig {
-            max_depth: 9,
-            allow_crash: true,
-            allow_mistakes: true,
-            ..Default::default()
-        };
-        let serial = explore_composed(&base);
-        let parallel = explore_composed(&ComposedConfig { threads: 4, ..base });
-        assert_eq!(serial.states_visited, parallel.states_visited);
-        assert_eq!(serial.transitions, parallel.transitions);
-        assert_eq!(serial.clean(), parallel.clean());
-        assert_eq!(serial.deadlocks, parallel.deadlocks);
-        assert!(!parallel.truncated);
-        assert_eq!(parallel.stats.threads, 4);
-        assert!(parallel.stats.states_per_sec > 0.0);
-    }
-
-    #[test]
-    fn composed_por_agrees_with_full_exploration() {
-        let base = ComposedConfig { max_depth: 9, ..Default::default() };
-        let full = explore_composed(&base);
-        let por = explore_composed(&ComposedConfig { por: true, ..base });
-        assert_eq!(full.states_visited, por.states_visited);
-        assert_eq!(full.transitions, por.transitions);
-        assert_eq!(full.deadlocks, por.deadlocks);
-        assert_eq!(full.violations, por.violations);
-        assert!(por.stats.sleep_skips.get() > 0, "POR never fired at depth 9");
     }
 
     #[test]

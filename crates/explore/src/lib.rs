@@ -30,20 +30,15 @@
 //! [`mod@fair_run`] module drives the same model under a weakly-fair deterministic
 //! schedule and checks the progress counters instead.
 //!
-//! ## Parallel search
+//! ## One engine
 //!
-//! Both explorers accept a `threads` knob ([`ExploreConfig::threads`],
-//! [`ComposedConfig::threads`]). `threads: 1` (the default) runs the
-//! original serial DFS byte-for-byte; `threads >= 2` runs the same model on
-//! a work-stealing engine ([`mod@parallel`]): per-worker LIFO deques with
-//! FIFO stealing, a visited table sharded across [`parallel::N_SHARDS`]
-//! mutexes, and a pending-task counter for termination. The visited table
-//! stores, per state, the *maximum remaining depth* it has been queued
-//! with; that map converges to a schedule-independent fixpoint, so
-//! `states_visited`, `clean()`, and `deadlocks` are deterministic across
-//! thread counts and schedules (when the state budget does not truncate the
-//! run). Throughput and contention counters come back in
-//! [`parallel::SearchStats`].
+//! Both models run on the same depth-bounded DFS ([`mod@engine`]) over one
+//! fingerprinted visited store. The store remembers, per state, the
+//! largest remaining depth it has been queued with; those depths converge
+//! to a fixpoint fixed by the graph alone, so `states_visited`,
+//! `transitions`, `deadlocks` and the violation set do not depend on the
+//! expansion order. Throughput and codec counters come back in
+//! [`SearchStats`].
 //!
 //! ## Mutation testing
 //!
@@ -54,7 +49,7 @@
 //! trigger guard, drop a ping send, replay a stale ack…); the
 //! `seeded_bugs` integration suite asserts the lemma checks actually catch
 //! them, with lemma-attributed, replayable counterexample traces
-//! ([`parallel::ViolationRecord`]).
+//! ([`ViolationRecord`]).
 
 #![forbid(unsafe_code)]
 #![deny(missing_debug_implementations)]
@@ -62,11 +57,10 @@
 
 pub mod codec;
 pub mod composed;
+pub mod engine;
 pub mod fair_run;
 pub mod invariants;
 pub mod pair_model;
-pub mod parallel;
-pub mod por;
 pub mod search;
 pub(crate) mod visited;
 
@@ -74,14 +68,13 @@ pub use codec::{fingerprint, StateCodec};
 pub use composed::{
     explore_composed, ComposedConfig, ComposedLabel, ComposedReport, ComposedState,
 };
+pub use engine::{SearchReport, SearchStats, ViolationKind, ViolationRecord};
 pub use fair_run::{fair_run, fair_run_mutated, FairRunReport};
 pub use invariants::{
     check_closure_step, check_state, exclusion_holds, in_completeness_closure, lemma2_holds,
     lemma3_holds, lemma4_holds, lemma9_holds, InvariantView,
 };
 pub use pair_model::{ExploreConfig, ModelMutation, PairState, TransitionLabel};
-pub use parallel::{SearchStats, ViolationKind, ViolationRecord, N_SHARDS};
-pub use por::DeliveryClass;
 pub use search::{explore, explore_seeded, find_reachable, fmt_path, ExploreReport};
 
 /// Re-export: machine-level seeded bugs live next to the machines.

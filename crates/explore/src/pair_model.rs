@@ -16,7 +16,7 @@ pub enum ModelMutation {
     None,
     /// `S_p`'s ping is silently lost in transit (the machine still believes
     /// it sent one). Safety lemmas survive; the hand-off starves — only
-    /// liveness checking ([`crate::fair_run`]) catches it.
+    /// liveness checking ([`mod@crate::fair_run`]) catches it.
     DropPingSend,
     /// The wire may duplicate an in-flight ack, so a stale ack can survive
     /// into a later epoch and flip the trigger out of turn (breaks Lemma 4;
@@ -37,14 +37,6 @@ pub struct ExploreConfig {
     pub allow_crash: bool,
     /// Start in the exclusive regime (convergence already reached).
     pub start_converged: bool,
-    /// Worker threads for [`crate::explore`]: `1` (the default) runs the
-    /// serial search; `≥ 2` runs the work-stealing parallel engine.
-    pub threads: usize,
-    /// Enable sleep-set partial-order reduction over commuting ping/ack
-    /// deliveries ([`crate::por`]). Off by default. Sound: every reported
-    /// figure (`states_visited`, `transitions`, `deadlocks`, violations) is
-    /// identical with POR on or off; only redundant probe work is skipped.
-    pub por: bool,
     /// Seeded machine-level bug (mutation testing; `None` = faithful).
     pub subject_mutation: SubjectMutation,
     /// Seeded wire-level bug (mutation testing; `None` = faithful).
@@ -59,8 +51,6 @@ impl Default for ExploreConfig {
             strict_seq: false,
             allow_crash: true,
             start_converged: false,
-            threads: 1,
-            por: false,
             subject_mutation: SubjectMutation::None,
             model_mutation: ModelMutation::None,
         }
@@ -70,10 +60,7 @@ impl Default for ExploreConfig {
 impl ExploreConfig {
     /// Builds an exploration config from the `[model]` section of a
     /// [`dinefd_sim::scenario_dsl::Scenario`], mapping the DSL's
-    /// engine-neutral mutation names onto the explorer's enums. The
-    /// execution-strategy knobs (`threads`, `por`) are not scenario data —
-    /// they describe *how* to search, not *what* to search — and keep
-    /// their defaults.
+    /// engine-neutral mutation names onto the explorer's enums.
     pub fn from_scenario(sc: &dinefd_sim::scenario_dsl::Scenario) -> Self {
         use dinefd_sim::scenario_dsl::{ModelMutationSpec, SubjectMutationSpec};
         ExploreConfig {
@@ -82,8 +69,6 @@ impl ExploreConfig {
             strict_seq: sc.model.strict_seq,
             allow_crash: sc.model.allow_crash,
             start_converged: sc.model.start_converged,
-            threads: 1,
-            por: false,
             subject_mutation: match sc.model.subject_mutation {
                 SubjectMutationSpec::None => SubjectMutation::None,
                 SubjectMutationSpec::SkipPingDisable => SubjectMutation::SkipPingDisable,
@@ -233,7 +218,7 @@ impl PairState {
     }
 
     /// All enabled transitions with their successors, appended to `out` —
-    /// the allocation-free form the search engines drive with a reused
+    /// the allocation-free form the search engine drives with a reused
     /// scratch buffer.
     pub fn successors_into(
         &self,
@@ -293,7 +278,7 @@ impl PairState {
     }
 
     /// All enabled transitions with their successors, as a fresh vector
-    /// (trace replay and property tests; the engines use
+    /// (trace replay and property tests; the engine uses
     /// [`PairState::successors_into`]).
     pub fn successors(&self, cfg: &ExploreConfig) -> Vec<(TransitionLabel, PairState)> {
         let mut out = Vec::new();

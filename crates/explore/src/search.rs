@@ -1,51 +1,14 @@
-//! Depth-bounded exhaustive search over the pair model.
-//!
-//! [`explore`] dispatches on [`ExploreConfig::threads`]: `1` runs the serial
-//! engine, `≥ 2` the work-stealing parallel engine — both in
-//! [`crate::parallel`], over the same model adapter, same checks, same
-//! fingerprinted visited store, same pruning rule. All deterministic figures
-//! (`states_visited`, `transitions`, `clean()`, `deadlocks`, the violation
-//! message set) agree across engines, thread counts, and
-//! [`ExploreConfig::por`] whenever the search is not truncated (see the
-//! determinism notes on [`crate::parallel`]).
+//! Depth-bounded exhaustive search over the pair model, through the engine
+//! in [`crate::engine`]: same checks, same fingerprinted visited store, same
+//! pruning rule as the composed model.
 
+use crate::engine::{search, SearchModel, SearchReport};
 use crate::pair_model::{ExploreConfig, PairState, TransitionLabel};
-use crate::parallel::{parallel_search, serial_search, SearchModel, SearchStats, ViolationRecord};
-use crate::por::DeliveryClass;
 
-/// Outcome of one exhaustive exploration.
-#[derive(Clone, Debug)]
-pub struct ExploreReport {
-    /// Distinct states visited.
-    pub states_visited: usize,
-    /// Transitions traversed: each visited state's out-degree, counted
-    /// exactly once on the state's first expansion. Deterministic and equal
-    /// across the serial engine, the parallel engine, and POR on/off.
-    pub transitions: u64,
-    /// Invariant violations found (empty = all lemmas hold in the explored
-    /// region). Each entry carries a short trace prefix for diagnosis.
-    pub violations: Vec<String>,
-    /// Structured violations with replayable counterexample paths (same
-    /// incidents as `violations`; replay them with
-    /// [`PairState::successors`]).
-    pub records: Vec<ViolationRecord<TransitionLabel>>,
-    /// States with no outgoing transition (there should be none).
-    pub deadlocks: usize,
-    /// Whether the search hit its state budget before exhausting the
-    /// depth-bounded region.
-    pub truncated: bool,
-    /// Throughput, contention, and codec counters of this run.
-    pub stats: SearchStats,
-}
+/// Outcome of one exhaustive exploration of the pair model.
+pub type ExploreReport = SearchReport<TransitionLabel>;
 
-impl ExploreReport {
-    /// True when every checked property held everywhere explored.
-    pub fn clean(&self) -> bool {
-        self.violations.is_empty() && self.deadlocks == 0
-    }
-}
-
-/// The pair model seen through the engines' eyes.
+/// The pair model seen through the engine's eyes.
 struct PairSearch<'a>(&'a ExploreConfig);
 
 impl SearchModel for PairSearch<'_> {
@@ -68,23 +31,6 @@ impl SearchModel for PairSearch<'_> {
     ) -> Vec<String> {
         s.check_closure_step(next).into_iter().collect()
     }
-
-    fn delivery_class(&self, label: TransitionLabel) -> Option<DeliveryClass> {
-        // Only the two plain delivery labels are classified: they consume
-        // one message from one pool and step disjoint machines, the
-        // independence proven in `crate::por`. `DuplicateAck` (the seeded
-        // wire bug) and every machine/service action stay unclassified and
-        // are never slept.
-        match label {
-            TransitionLabel::DeliverPing(k) => Some(DeliveryClass::Ping(k)),
-            TransitionLabel::DeliverAck(k) => Some(DeliveryClass::Ack(k)),
-            _ => None,
-        }
-    }
-
-    fn por(&self) -> bool {
-        self.0.por
-    }
 }
 
 /// Exhaustively explores all interleavings up to `cfg.max_depth`, checking
@@ -93,9 +39,8 @@ impl SearchModel for PairSearch<'_> {
 ///
 /// The visited store remembers the largest remaining depth each state was
 /// expanded with, so re-entering a state with less budget is pruned soundly.
-/// With `cfg.threads >= 2` the search runs on the work-stealing parallel
-/// engine; the verdict (`clean()`, `states_visited`, `transitions`,
-/// `deadlocks`) is schedule-independent.
+/// The verdict (`clean()`, `states_visited`, `transitions`, `deadlocks`) is
+/// independent of the expansion order; see [`crate::engine`].
 ///
 /// ```
 /// use dinefd_explore::{explore, ExploreConfig};
@@ -115,28 +60,10 @@ pub fn explore(cfg: &ExploreConfig) -> ExploreReport {
 /// lemma fire on the very first state checked, confirming that the abstract
 /// counterexample denotes a state this engine also rejects.
 ///
-/// All engine guarantees (determinism, exhaustiveness up to the depth bound,
-/// budget semantics) are unchanged; only the root differs.
+/// All engine guarantees (exhaustiveness up to the depth bound, budget
+/// semantics) are unchanged; only the root differs.
 pub fn explore_seeded(seed: PairState, cfg: &ExploreConfig) -> ExploreReport {
-    let model = PairSearch(cfg);
-    let outcome = if cfg.threads <= 1 {
-        serial_search(&model, seed, cfg.max_depth, cfg.max_states)
-    } else {
-        parallel_search(&model, seed, cfg.max_depth, cfg.max_states, cfg.threads)
-    };
-    ExploreReport {
-        states_visited: outcome.states_visited,
-        transitions: outcome.transitions,
-        violations: outcome.violations.iter().map(|r| render(&r.message, &r.path)).collect(),
-        records: outcome.violations,
-        deadlocks: outcome.deadlocks,
-        truncated: outcome.truncated,
-        stats: outcome.stats,
-    }
-}
-
-fn render(message: &str, path: &[TransitionLabel]) -> String {
-    format!("{message} (after {})", fmt_path(path, None))
+    search(&PairSearch(cfg), seed, cfg.max_depth, cfg.max_states)
 }
 
 /// Breadth-first reachability probe: searches from the model's initial
@@ -269,88 +196,23 @@ mod tests {
     }
 
     #[test]
-    fn minimal_state_budget_is_enforced_in_both_engines() {
-        // `max_states: 1` must truncate before the first expansion in both
-        // engines — the budget is checked when a state comes up for
-        // expansion, not after its successors have been interned.
-        for threads in [1, 4] {
-            let cfg = ExploreConfig { max_depth: 50, max_states: 1, threads, ..Default::default() };
-            let report = explore(&cfg);
-            assert!(report.truncated, "threads={threads}");
-            assert_eq!(report.states_visited, 1, "threads={threads}");
-            assert_eq!(report.transitions, 0, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn parallel_agrees_with_serial_on_all_variants() {
-        for (strict, crash, converged) in
-            [(false, true, false), (true, true, false), (false, false, false), (false, true, true)]
-        {
-            let base = ExploreConfig {
-                max_depth: 12,
-                strict_seq: strict,
-                allow_crash: crash,
-                start_converged: converged,
-                ..Default::default()
-            };
-            let serial = explore(&base);
-            let parallel = explore(&ExploreConfig { threads: 4, ..base });
-            assert_eq!(
-                serial.states_visited, parallel.states_visited,
-                "state count diverged (strict={strict} crash={crash} conv={converged})"
-            );
-            assert_eq!(
-                serial.transitions, parallel.transitions,
-                "transition count diverged (strict={strict} crash={crash} conv={converged})"
-            );
-            assert_eq!(serial.clean(), parallel.clean());
-            assert_eq!(serial.deadlocks, parallel.deadlocks);
-            assert!(!parallel.truncated);
-            assert_eq!(parallel.stats.threads, 4);
-        }
-    }
-
-    #[test]
-    fn por_agrees_with_full_exploration() {
-        // POR must change no reported figure — it only skips probe work
-        // (visible in `sleep_skips`). In the *faithful* pair model the
-        // ping/ack handshake is strictly sequential (no reachable state has
-        // a ping and an ack in flight together), so cross-class sleeps have
-        // zero opportunities and the skip counter stays 0 — POR earns its
-        // keep on the composed model's fork traffic and on mutated wires
-        // (see `tests/por_equivalence.rs`).
-        let base = ExploreConfig { max_depth: 16, ..Default::default() };
-        let full = explore(&base);
-        let por = explore(&ExploreConfig { por: true, ..base });
-        assert_eq!(full.states_visited, por.states_visited);
-        assert_eq!(full.transitions, por.transitions);
-        assert_eq!(full.deadlocks, por.deadlocks);
-        assert_eq!(full.violations, por.violations);
-        assert_eq!(full.stats.sleep_skips.get(), 0);
-        assert_eq!(por.stats.sleep_skips.get(), 0, "the faithful pair wire is sequential");
-    }
-
-    #[test]
-    fn parallel_budget_truncates_gracefully() {
-        let cfg =
-            ExploreConfig { max_depth: 200, max_states: 2_000, threads: 4, ..Default::default() };
+    fn minimal_state_budget_is_enforced() {
+        // `max_states: 1` must truncate before the first expansion — the
+        // budget is checked when a state comes up for expansion, not after
+        // its successors have been interned.
+        let cfg = ExploreConfig { max_depth: 50, max_states: 1, ..Default::default() };
         let report = explore(&cfg);
         assert!(report.truncated);
-        assert!(report.violations.is_empty());
+        assert_eq!(report.states_visited, 1);
+        assert_eq!(report.transitions, 0);
     }
 
     #[test]
-    fn stats_are_populated_in_both_modes() {
-        let serial = explore(&ExploreConfig { max_depth: 10, ..Default::default() });
-        assert_eq!(serial.stats.threads, 1);
-        assert_eq!(serial.stats.shards, 1);
-        assert!(serial.stats.states_per_sec > 0.0);
-        assert!(serial.stats.fp_confirms.get() > 0, "revisits must be byte-confirmed");
-        let par = explore(&ExploreConfig { max_depth: 10, threads: 3, ..Default::default() });
-        assert_eq!(par.stats.threads, 3);
-        assert_eq!(par.stats.shards, crate::parallel::N_SHARDS);
-        assert!(par.stats.states_per_sec > 0.0);
+    fn stats_are_populated() {
+        let report = explore(&ExploreConfig { max_depth: 10, ..Default::default() });
+        assert!(report.stats.states_per_sec > 0.0);
+        assert!(report.stats.fp_confirms.get() > 0, "revisits must be byte-confirmed");
+        assert!(report.stats.arena_bytes > 0);
     }
 
     #[test]

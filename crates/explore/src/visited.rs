@@ -1,4 +1,4 @@
-//! The fingerprinted, arena-backed visited store behind both search engines.
+//! The fingerprinted, arena-backed visited store behind the search engine.
 //!
 //! The old engines kept `HashMap<State, u32>` — every insertion cloned the
 //! full state struct (two machines, fork endpoints, several `Vec`s) to use
@@ -6,7 +6,7 @@
 //! state as:
 //!
 //! * its compact encoding ([`crate::codec::StateCodec`]), interned once in a
-//!   per-store byte **arena**;
+//!   byte **arena**;
 //! * a 64-bit **fingerprint** of that encoding, which drives an
 //!   open-addressing (linear-probe) index table.
 //!
@@ -18,39 +18,27 @@
 //! false "seen" verdict, so the search remains exhaustive rather than a
 //! bitstate approximation.
 //!
-//! Each entry also carries the search metadata the engines need:
+//! Each entry also carries the search metadata the engine needs:
 //!
 //! * `remaining` — the largest remaining depth the state was queued with
 //!   (the classic pruning rule: re-entering with less budget is redundant);
-//! * `sleep` — the partial-order-reduction sleep mask ([`crate::por`]);
-//!   entries converge by *intersection*, mirroring how `remaining` converges
-//!   by maximum, so the POR fixpoint is schedule-independent too;
 //! * `parent` + `label` — the tree edge that first inserted the state.
 //!   Violation paths are reconstructed by walking parent links, which frees
 //!   the hot loop from cloning a path `Vec` into every queued task;
 //! * `expanded` — whether some expansion already counted this state's
 //!   out-degree/deadlock contribution (the once-per-state figures).
 //!
-//! Entries are append-only and identified by dense indices, so a parent
-//! reference is stable across table growth. The parallel engine wraps
-//! [`N_SHARDS`] of these stores, selecting a shard by the *top* fingerprint
-//! bits (the index table uses the low bits — independent, so shard striping
-//! does not correlate with probe clustering).
+//! Entries are append-only and identified by dense `u32` indices, so a
+//! parent link is stable across table growth.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
-use parking_lot::Mutex;
-
-use crate::parallel::N_SHARDS;
-
-/// Sentinel parent reference of the root state.
-pub(crate) const NO_PARENT: u64 = u64::MAX;
+/// Sentinel parent index of the root state.
+pub(crate) const NO_PARENT: u32 = u32::MAX;
 
 /// Empty index-table slot.
 const EMPTY: u32 = u32::MAX;
 
-/// Codec observability counters of one store (summed across shards by the
-/// parallel engine; exported through `SearchStats`).
+/// Codec observability counters of one store (exported through
+/// `SearchStats`).
 #[derive(Clone, Copy, Debug, Default)]
 pub(crate) struct StoreStats {
     /// Fingerprint hits confirmed equal by exact byte comparison.
@@ -64,37 +52,25 @@ struct Entry<L> {
     off: u32,
     len: u32,
     remaining: u32,
-    sleep: u32,
-    parent: u64,
+    parent: u32,
     label: Option<L>,
     expanded: bool,
 }
 
-/// What a [`VisitedStore::probe`] concluded.
+/// What a [`VisitedStore::probe`] concluded, with the dense index of the
+/// state's entry where it has one worth queueing.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum ProbeOutcome {
     /// Never seen: interned, must be checked and queued.
-    Fresh,
-    /// Seen, but this arrival carries more depth or a smaller sleep mask:
-    /// the stored entry was upgraded and the state must be re-queued.
-    Requeue,
-    /// Seen with at least this much depth and no sleep shrink: redundant.
+    Fresh(u32),
+    /// Seen, but this arrival carries more remaining depth: the stored
+    /// depth was raised and the state must be re-queued.
+    Requeue(u32),
+    /// Seen with at least this much remaining depth: redundant.
     Pruned,
 }
 
-/// Result of one probe: the verdict plus the entry's post-update metadata
-/// (the values a re-queued task should run with).
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct Probe {
-    pub outcome: ProbeOutcome,
-    /// Dense entry index within this store.
-    pub index: u32,
-    pub remaining: u32,
-    pub sleep: u32,
-}
-
-/// One open-addressing visited store (the serial engine uses one; the
-/// parallel engine stripes [`N_SHARDS`] of them).
+/// The open-addressing visited store.
 pub(crate) struct VisitedStore<L> {
     /// Linear-probe index: slot → entry index (or [`EMPTY`]).
     index: Vec<u32>,
@@ -128,18 +104,16 @@ impl<L: Copy> VisitedStore<L> {
     }
 
     /// Looks up `bytes` (pre-fingerprinted as `fp`), arriving with
-    /// `remaining` depth and POR mask `sleep` via `parent --label-->`.
-    /// Interns on miss; upgrades `remaining` (max) and `sleep`
-    /// (intersection) on hit.
+    /// `remaining` depth via `parent --label-->`. Interns on miss; raises
+    /// the stored `remaining` to the maximum on hit.
     pub fn probe(
         &mut self,
         fp: u64,
         bytes: &[u8],
         remaining: u32,
-        sleep: u32,
-        parent: u64,
+        parent: u32,
         label: Option<L>,
-    ) -> Probe {
+    ) -> ProbeOutcome {
         if (self.entries.len() + 1) * 2 > self.index.len() {
             self.grow();
         }
@@ -156,13 +130,12 @@ impl<L: Copy> VisitedStore<L> {
                         off,
                         len: bytes.len() as u32,
                         remaining,
-                        sleep,
                         parent,
                         label,
                         expanded: false,
                     });
                     self.index[slot] = index;
-                    return Probe { outcome: ProbeOutcome::Fresh, index, remaining, sleep };
+                    return ProbeOutcome::Fresh(index);
                 }
                 id => {
                     let e = &mut self.entries[id as usize];
@@ -170,21 +143,11 @@ impl<L: Copy> VisitedStore<L> {
                         let interned = &self.arena[e.off as usize..(e.off + e.len) as usize];
                         if interned == bytes {
                             self.stats.confirms += 1;
-                            let up_remaining = e.remaining.max(remaining);
-                            let up_sleep = e.sleep & sleep;
-                            let outcome = if up_remaining == e.remaining && up_sleep == e.sleep {
-                                ProbeOutcome::Pruned
-                            } else {
-                                e.remaining = up_remaining;
-                                e.sleep = up_sleep;
-                                ProbeOutcome::Requeue
-                            };
-                            return Probe {
-                                outcome,
-                                index: id,
-                                remaining: up_remaining,
-                                sleep: up_sleep,
-                            };
+                            if remaining <= e.remaining {
+                                return ProbeOutcome::Pruned;
+                            }
+                            e.remaining = remaining;
+                            return ProbeOutcome::Requeue(id);
                         }
                         self.stats.collisions += 1;
                     }
@@ -199,10 +162,18 @@ impl<L: Copy> VisitedStore<L> {
         !std::mem::replace(&mut self.entries[index as usize].expanded, true)
     }
 
-    /// The tree edge that first interned entry `index`.
-    pub fn parent_of(&self, index: u32) -> (u64, Option<L>) {
-        let e = &self.entries[index as usize];
-        (e.parent, e.label)
+    /// Reconstructs the label path from the root to entry `index` by walking
+    /// parent links; `extra` appends a final (step) label.
+    pub fn path_to(&self, mut index: u32, extra: Option<L>) -> Vec<L> {
+        let mut path: Vec<L> = Vec::new();
+        while index != NO_PARENT {
+            let e = &self.entries[index as usize];
+            path.extend(e.label);
+            index = e.parent;
+        }
+        path.reverse();
+        path.extend(extra);
+        path
     }
 
     fn grow(&mut self) {
@@ -220,131 +191,6 @@ impl<L: Copy> VisitedStore<L> {
     }
 }
 
-/// Packs a (shard, entry-index) pair into the engines' 64-bit entry
-/// reference. The serial engine always uses shard 0.
-pub(crate) fn entry_ref(shard: usize, index: u32) -> u64 {
-    debug_assert!(shard < N_SHARDS);
-    ((shard as u64) << 32) | u64::from(index)
-}
-
-fn split_ref(r: u64) -> (usize, u32) {
-    ((r >> 32) as usize, r as u32)
-}
-
-/// Reconstructs the label path from the root to entry `r` by walking parent
-/// links through `store_of(shard)`; `extra` appends a final (step) label.
-pub(crate) fn path_through<'a, L: Copy + 'a>(
-    mut r: u64,
-    extra: Option<L>,
-    store_of: impl Fn(usize) -> &'a VisitedStore<L>,
-) -> Vec<L> {
-    let mut path: Vec<L> = Vec::new();
-    while r != NO_PARENT {
-        let (shard, index) = split_ref(r);
-        let (parent, label) = store_of(shard).parent_of(index);
-        if let Some(l) = label {
-            path.push(l);
-        }
-        r = parent;
-    }
-    path.reverse();
-    path.extend(extra);
-    path
-}
-
-/// The lock-striped parallel wrapper: [`N_SHARDS`] independent stores,
-/// selected by the top fingerprint bits. `try_lock` misses are counted as
-/// shard conflicts, exactly like the old sharded hash map.
-pub(crate) struct ShardedVisitedStore<L> {
-    shards: Vec<Mutex<VisitedStore<L>>>,
-    conflicts: AtomicU64,
-}
-
-impl<L: Copy> ShardedVisitedStore<L> {
-    pub fn new() -> Self {
-        ShardedVisitedStore {
-            shards: (0..N_SHARDS).map(|_| Mutex::new(VisitedStore::new())).collect(),
-            conflicts: AtomicU64::new(0),
-        }
-    }
-
-    fn shard_of(fp: u64) -> usize {
-        (fp >> 56) as usize & (N_SHARDS - 1)
-    }
-
-    fn lock_counting(&self, shard: usize) -> parking_lot::MutexGuard<'_, VisitedStore<L>> {
-        let m = &self.shards[shard];
-        match m.try_lock() {
-            Some(g) => g,
-            None => {
-                self.conflicts.fetch_add(1, Ordering::Relaxed);
-                m.lock()
-            }
-        }
-    }
-
-    /// As [`VisitedStore::probe`], returning a global entry reference.
-    pub fn probe(
-        &self,
-        fp: u64,
-        bytes: &[u8],
-        remaining: u32,
-        sleep: u32,
-        parent: u64,
-        label: Option<L>,
-    ) -> (ProbeOutcome, u64, u32, u32) {
-        let shard = Self::shard_of(fp);
-        let p = self.lock_counting(shard).probe(fp, bytes, remaining, sleep, parent, label);
-        (p.outcome, entry_ref(shard, p.index), p.remaining, p.sleep)
-    }
-
-    /// Marks the referenced entry expanded; true iff first expansion.
-    pub fn mark_expanded(&self, r: u64) -> bool {
-        let (shard, index) = split_ref(r);
-        self.lock_counting(shard).mark_expanded(index)
-    }
-
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(|m| m.lock().len()).sum()
-    }
-
-    pub fn conflicts(&self) -> u64 {
-        self.conflicts.load(Ordering::Relaxed)
-    }
-
-    /// Total bytes interned across shards.
-    pub fn arena_bytes(&self) -> usize {
-        self.shards.iter().map(|m| m.lock().arena_bytes()).sum()
-    }
-
-    /// Summed codec counters across shards.
-    pub fn stats(&self) -> StoreStats {
-        self.shards.iter().map(|m| m.lock().stats()).fold(StoreStats::default(), |a, s| {
-            StoreStats {
-                confirms: a.confirms + s.confirms,
-                collisions: a.collisions + s.collisions,
-            }
-        })
-    }
-
-    /// Reconstructs a violation path (single-threaded post-processing: locks
-    /// shards one hop at a time).
-    pub fn path_to(&self, mut r: u64, extra: Option<L>) -> Vec<L> {
-        let mut path: Vec<L> = Vec::new();
-        while r != NO_PARENT {
-            let (shard, index) = split_ref(r);
-            let (parent, label) = self.shards[shard].lock().parent_of(index);
-            if let Some(l) = label {
-                path.push(l);
-            }
-            r = parent;
-        }
-        path.reverse();
-        path.extend(extra);
-        path
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -355,34 +201,16 @@ mod tests {
         let mut store: VisitedStore<u8> = VisitedStore::new();
         let bytes = b"state-a";
         let fp = hash64(bytes);
-        let p = store.probe(fp, bytes, 5, 0, NO_PARENT, None);
-        assert_eq!(p.outcome, ProbeOutcome::Fresh);
+        assert_eq!(store.probe(fp, bytes, 5, NO_PARENT, None), ProbeOutcome::Fresh(0));
         assert_eq!(store.len(), 1);
         // Same depth or shallower: pruned; store remembers the max.
-        assert_eq!(store.probe(fp, bytes, 5, 0, NO_PARENT, None).outcome, ProbeOutcome::Pruned);
-        assert_eq!(store.probe(fp, bytes, 3, 0, NO_PARENT, None).outcome, ProbeOutcome::Pruned);
-        // Deeper: requeue with the upgraded budget.
-        let p = store.probe(fp, bytes, 9, 0, NO_PARENT, None);
-        assert_eq!(p.outcome, ProbeOutcome::Requeue);
-        assert_eq!(p.remaining, 9);
+        assert_eq!(store.probe(fp, bytes, 5, NO_PARENT, None), ProbeOutcome::Pruned);
+        assert_eq!(store.probe(fp, bytes, 3, NO_PARENT, None), ProbeOutcome::Pruned);
+        // Deeper: requeue, and the raised budget sticks.
+        assert_eq!(store.probe(fp, bytes, 9, NO_PARENT, None), ProbeOutcome::Requeue(0));
+        assert_eq!(store.probe(fp, bytes, 8, NO_PARENT, None), ProbeOutcome::Pruned);
         assert_eq!(store.len(), 1, "no duplicate interning");
-        assert!(store.stats().confirms >= 3);
-    }
-
-    #[test]
-    fn sleep_masks_converge_by_intersection() {
-        let mut store: VisitedStore<u8> = VisitedStore::new();
-        let bytes = b"state-b";
-        let fp = hash64(bytes);
-        store.probe(fp, bytes, 4, 0b1100, NO_PARENT, None);
-        // Same depth, overlapping mask: shrinks to the intersection.
-        let p = store.probe(fp, bytes, 4, 0b0110, NO_PARENT, None);
-        assert_eq!(p.outcome, ProbeOutcome::Requeue);
-        assert_eq!(p.sleep, 0b0100);
-        // Arriving with a superset mask adds nothing.
-        let p = store.probe(fp, bytes, 4, 0b1110, NO_PARENT, None);
-        assert_eq!(p.outcome, ProbeOutcome::Pruned);
-        assert_eq!(p.sleep, 0b0100);
+        assert!(store.stats().confirms >= 4);
     }
 
     #[test]
@@ -391,13 +219,13 @@ mod tests {
         // Force a collision by probing two different byte strings under the
         // same fingerprint (the store trusts the caller's fp).
         let fp = 0x42;
-        assert_eq!(store.probe(fp, b"first", 3, 0, NO_PARENT, None).outcome, ProbeOutcome::Fresh);
-        assert_eq!(store.probe(fp, b"second", 3, 0, NO_PARENT, None).outcome, ProbeOutcome::Fresh);
+        assert_eq!(store.probe(fp, b"first", 3, NO_PARENT, None), ProbeOutcome::Fresh(0));
+        assert_eq!(store.probe(fp, b"second", 3, NO_PARENT, None), ProbeOutcome::Fresh(1));
         assert_eq!(store.len(), 2, "colliding states must both be interned");
         assert_eq!(store.stats().collisions, 1);
         // Each still resolves to its own entry.
-        assert_eq!(store.probe(fp, b"first", 3, 0, NO_PARENT, None).outcome, ProbeOutcome::Pruned);
-        assert_eq!(store.probe(fp, b"second", 2, 0, NO_PARENT, None).outcome, ProbeOutcome::Pruned);
+        assert_eq!(store.probe(fp, b"first", 3, NO_PARENT, None), ProbeOutcome::Pruned);
+        assert_eq!(store.probe(fp, b"second", 4, NO_PARENT, None), ProbeOutcome::Requeue(1));
     }
 
     #[test]
@@ -406,44 +234,31 @@ mod tests {
         let n = 5_000u64; // forces several grow() rehashes past the 1024 seed
         for i in 0..n {
             let bytes = i.to_le_bytes();
-            let p = store.probe(hash64(&bytes), &bytes, 1, 0, NO_PARENT, None);
-            assert_eq!(p.outcome, ProbeOutcome::Fresh);
+            let p = store.probe(hash64(&bytes), &bytes, 1, NO_PARENT, None);
+            assert_eq!(p, ProbeOutcome::Fresh(i as u32));
         }
         assert_eq!(store.len(), n as usize);
         assert_eq!(store.arena_bytes(), n as usize * 8, "one 8-byte encoding per entry");
         for i in 0..n {
             let bytes = i.to_le_bytes();
-            let p = store.probe(hash64(&bytes), &bytes, 1, 0, NO_PARENT, None);
-            assert_eq!(p.outcome, ProbeOutcome::Pruned, "entry {i} lost in growth");
+            let p = store.probe(hash64(&bytes), &bytes, 1, NO_PARENT, None);
+            assert_eq!(p, ProbeOutcome::Pruned, "entry {i} lost in growth");
         }
     }
 
     #[test]
     fn parent_links_reconstruct_paths() {
         let mut store: VisitedStore<char> = VisitedStore::new();
-        let root = store.probe(hash64(b"r"), b"r", 9, 0, NO_PARENT, None);
-        let a = store.probe(hash64(b"a"), b"a", 8, 0, entry_ref(0, root.index), Some('a'));
-        let b = store.probe(hash64(b"b"), b"b", 7, 0, entry_ref(0, a.index), Some('b'));
-        let path = path_through(entry_ref(0, b.index), Some('c'), |_| &store);
-        assert_eq!(path, vec!['a', 'b', 'c']);
-        let root_path = path_through(entry_ref(0, root.index), None, |_| &store);
-        assert!(root_path.is_empty());
-    }
-
-    #[test]
-    fn sharded_store_routes_and_counts() {
-        let store: ShardedVisitedStore<u8> = ShardedVisitedStore::new();
-        for i in 0..500u64 {
-            let bytes = i.to_le_bytes();
-            let (o, _, _, _) = store.probe(hash64(&bytes), &bytes, 2, 0, NO_PARENT, None);
-            assert_eq!(o, ProbeOutcome::Fresh);
-        }
-        assert_eq!(store.len(), 500);
-        let (o, r, _, _) =
-            store.probe(hash64(&0u64.to_le_bytes()), &0u64.to_le_bytes(), 2, 0, NO_PARENT, None);
-        assert_eq!(o, ProbeOutcome::Pruned);
-        assert!(store.mark_expanded(r));
-        assert!(!store.mark_expanded(r), "second expansion is not first");
-        assert!(store.stats().confirms >= 1);
+        let fresh = |p| match p {
+            ProbeOutcome::Fresh(i) => i,
+            other => panic!("expected a fresh entry, got {other:?}"),
+        };
+        let root = fresh(store.probe(hash64(b"r"), b"r", 9, NO_PARENT, None));
+        let a = fresh(store.probe(hash64(b"a"), b"a", 8, root, Some('a')));
+        let b = fresh(store.probe(hash64(b"b"), b"b", 7, a, Some('b')));
+        assert_eq!(store.path_to(b, Some('c')), vec!['a', 'b', 'c']);
+        assert!(store.path_to(root, None).is_empty());
+        assert!(store.mark_expanded(a));
+        assert!(!store.mark_expanded(a), "second expansion is not first");
     }
 }
