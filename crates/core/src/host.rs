@@ -14,7 +14,7 @@ use dinefd_dining::{DinerPhase, DiningIo, DiningMsg, DiningParticipant};
 use dinefd_fd::FdQuery;
 use dinefd_sim::{Context, Node, ProcessId, Time, TimerId};
 
-use crate::machines::{SubjectAction, SubjectCmd, SubjectMachine, WitnessCmd, WitnessMachine};
+use crate::machines::{SubjectCmd, SubjectMachine, WitnessCmd, WitnessMachine};
 
 /// Which side of a monitoring pair a dining endpoint belongs to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -281,7 +281,7 @@ impl WitnessBank {
     fn pump(&mut self, slot: usize, now: Time, fd: &dyn FdQuery, out: &mut Out) {
         for _ in 0..PUMP_BUDGET {
             let phases = [self.dx[slot][0].phase(), self.dx[slot][1].phase()];
-            let Some(&action) = self.machines[slot].enabled(phases).first() else {
+            let Some(action) = self.machines[slot].next_action(phases) else {
                 break;
             };
             match self.machines[slot].fire(action, phases) {
@@ -446,14 +446,7 @@ impl SubjectBank {
     fn pump(&mut self, slot: usize, now: Time, fd: &dyn FdQuery, out: &mut Out) {
         for _ in 0..PUMP_BUDGET {
             let phases = [self.dx[slot][0].phase(), self.dx[slot][1].phase()];
-            let enabled = self.machines[slot].enabled(phases);
-            // Prefer pings over hunger so a lone eater's ping is never
-            // starved by the other thread's bookkeeping.
-            let Some(&action) = enabled
-                .iter()
-                .find(|a| matches!(a, SubjectAction::Ping(_)))
-                .or_else(|| enabled.first())
-            else {
+            let Some(action) = self.machines[slot].next_action(phases) else {
                 break;
             };
             match self.machines[slot].fire(action, phases) {
@@ -690,51 +683,51 @@ impl ReductionNode {
     /// appending effects to a caller-pooled buffer. The caller is
     /// responsible for scheduling the recurring tick.
     pub fn handle_start_into(&mut self, now: Time, out: &mut Out) {
-        let fd = Arc::clone(&self.fd);
+        let fd = &*self.fd;
         for slot in 0..self.witnesses.len() {
-            self.witnesses.pump(slot, now, &*fd, out);
+            self.witnesses.pump(slot, now, fd, out);
         }
         for slot in 0..self.subjects.len() {
-            self.subjects.pump(slot, now, &*fd, out);
+            self.subjects.pump(slot, now, fd, out);
         }
     }
 
     /// Context-free message step, appending effects to a caller-pooled
     /// buffer.
     pub fn handle_message_into(&mut self, from: ProcessId, msg: RedMsg, now: Time, out: &mut Out) {
-        let fd = Arc::clone(&self.fd);
+        let fd = &*self.fd;
         match msg {
             RedMsg::Dx { watcher, subject, instance, inner } => {
                 if watcher == self.me {
                     let slot = self.witness_slot(subject);
-                    self.witnesses.on_dx_message(slot, instance, from, inner, now, &*fd, out);
+                    self.witnesses.on_dx_message(slot, instance, from, inner, now, fd, out);
                 } else {
                     debug_assert_eq!(subject, self.me);
                     let slot = self.subject_slot(watcher);
-                    self.subjects.on_dx_message(slot, instance, from, inner, now, &*fd, out);
+                    self.subjects.on_dx_message(slot, instance, from, inner, now, fd, out);
                 }
             }
             RedMsg::Ping { watcher, subject, instance, seq } => {
                 debug_assert_eq!(watcher, self.me);
                 let slot = self.witness_slot(subject);
-                self.witnesses.on_ping(slot, instance, seq, now, &*fd, out);
+                self.witnesses.on_ping(slot, instance, seq, now, fd, out);
             }
             RedMsg::Ack { watcher, subject, instance, seq } => {
                 debug_assert_eq!(subject, self.me);
                 let slot = self.subject_slot(watcher);
-                self.subjects.on_ack(slot, instance, seq, now, &*fd, out);
+                self.subjects.on_ack(slot, instance, seq, now, fd, out);
             }
         }
     }
 
     /// Context-free tick step, appending effects to a caller-pooled buffer.
     pub fn handle_tick_into(&mut self, now: Time, out: &mut Out) {
-        let fd = Arc::clone(&self.fd);
+        let fd = &*self.fd;
         for slot in 0..self.witnesses.len() {
-            self.witnesses.on_tick(slot, now, &*fd, out);
+            self.witnesses.on_tick(slot, now, fd, out);
         }
         for slot in 0..self.subjects.len() {
-            self.subjects.on_tick(slot, now, &*fd, out);
+            self.subjects.on_tick(slot, now, fd, out);
         }
     }
 

@@ -144,7 +144,8 @@ impl WitnessMachine {
     }
 
     /// Allocation-free form of [`WitnessMachine::enabled`]: invokes `f` for
-    /// each enabled action, in the same order (the explorers' hot path).
+    /// each enabled action, in the same order (the explorers' and hosts' hot
+    /// path).
     pub fn for_each_enabled(&self, phases: [DinerPhase; 2], mut f: impl FnMut(WitnessAction)) {
         for i in 0..2 {
             // W_h(i): both witnesses thinking and it is i's turn.
@@ -159,6 +160,17 @@ impl WitnessMachine {
                 f(WitnessAction::ExitCheck(i));
             }
         }
+    }
+
+    /// The action an event-driven host fires next: the first enabled one in
+    /// [`WitnessMachine::for_each_enabled`] order, found without
+    /// allocating.
+    pub fn next_action(&self, phases: [DinerPhase; 2]) -> Option<WitnessAction> {
+        let mut first = None;
+        self.for_each_enabled(phases, |a| {
+            first.get_or_insert(a);
+        });
+        first
     }
 
     /// Fires one enabled action, returning the host command.
@@ -350,7 +362,8 @@ impl SubjectMachine {
     }
 
     /// Allocation-free form of [`SubjectMachine::enabled`]: invokes `f` for
-    /// each enabled action, in the same order (the explorers' hot path).
+    /// each enabled action, in the same order (the explorers' and hosts' hot
+    /// path).
     pub fn for_each_enabled(&self, phases: [DinerPhase; 2], mut f: impl FnMut(SubjectAction)) {
         for i in 0..2 {
             // S_h(i): s_i thinking and trigger = i.
@@ -375,6 +388,21 @@ impl SubjectMachine {
                 f(SubjectAction::Exit(i));
             }
         }
+    }
+
+    /// The action an event-driven host fires next, found without
+    /// allocating: an enabled ping if there is one (so a lone eater's ping
+    /// is never starved by the other thread's bookkeeping), otherwise the
+    /// first enabled action in [`SubjectMachine::for_each_enabled`] order.
+    pub fn next_action(&self, phases: [DinerPhase; 2]) -> Option<SubjectAction> {
+        let (mut first, mut ping) = (None, None);
+        self.for_each_enabled(phases, |a| {
+            first.get_or_insert(a);
+            if matches!(a, SubjectAction::Ping(_)) {
+                ping.get_or_insert(a);
+            }
+        });
+        ping.or(first)
     }
 
     /// Fires one enabled action, returning the host command.
@@ -702,5 +730,63 @@ mod tests {
                 assert!(cursor.is_empty());
             }
         }
+    }
+
+    const PHASES: [DinerPhase; 4] = [Thinking, Hungry, Eating, Exiting];
+
+    fn phase_pairs() -> impl Iterator<Item = [DinerPhase; 2]> {
+        PHASES.into_iter().flat_map(|a| PHASES.into_iter().map(move |b| [a, b]))
+    }
+
+    #[test]
+    fn witness_next_action_is_the_first_enabled_action() {
+        for b in 0..16u8 {
+            let w = WitnessMachine::unpack(b).expect("4-bit witness state");
+            for ph in phase_pairs() {
+                assert_eq!(
+                    w.next_action(ph),
+                    w.enabled(ph).first().copied(),
+                    "state {b:#06b} {ph:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn subject_next_action_prefers_a_ping_then_the_first_enabled_action() {
+        let mut states = 0;
+        for trigger in 0..2 {
+            for ping_enabled in [[false, false], [false, true], [true, false], [true, true]] {
+                for strict in [false, true] {
+                    for mutation in [
+                        SubjectMutation::None,
+                        SubjectMutation::SkipPingDisable,
+                        SubjectMutation::IgnoreTriggerGuard,
+                        SubjectMutation::SkipTriggerUpdate,
+                    ] {
+                        let s = SubjectMachine::from_parts(
+                            trigger,
+                            ping_enabled,
+                            [3, 7],
+                            strict,
+                            mutation,
+                        );
+                        states += 1;
+                        for ph in phase_pairs() {
+                            // The selection rule the host pump used to apply
+                            // to the allocated `enabled` list.
+                            let enabled = s.enabled(ph);
+                            let want = enabled
+                                .iter()
+                                .find(|a| matches!(a, SubjectAction::Ping(_)))
+                                .or_else(|| enabled.first())
+                                .copied();
+                            assert_eq!(s.next_action(ph), want, "{s:?} {ph:?}");
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(states, 64, "every flag state of the packed byte (bits 0-5)");
     }
 }

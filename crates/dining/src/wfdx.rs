@@ -247,9 +247,12 @@ impl ForkCore {
         }
     }
 
+    /// Sets `ever_trusted` on every edge whose peer is not suspected now.
+    /// The flag is monotone, so an edge that already has it is not queried
+    /// again (sound because [`dinefd_fd::FdQuery`] answers are pure).
     fn refresh_trust(&mut self, io: &DiningIo<'_>) {
         for e in &mut self.edges {
-            if !io.suspected(e.peer) {
+            if !e.ever_trusted && !io.suspected(e.peer) {
                 e.ever_trusted = true;
             }
         }
@@ -912,5 +915,86 @@ mod tests {
             let mut io = DiningIo::new(p(0), Time(t * 10 + 1), &fd);
             d.exit_eating(&mut io);
         }
+    }
+
+    /// An oracle whose answer the test sets, counting queries per subject.
+    #[derive(Debug, Default)]
+    struct CountingFd {
+        suspect: std::cell::Cell<bool>,
+        queries: std::cell::Cell<[u64; 3]>,
+    }
+
+    impl CountingFd {
+        fn queries(&self, subject: u32) -> u64 {
+            self.queries.get()[subject as usize]
+        }
+    }
+
+    impl FdQuery for CountingFd {
+        fn suspected(&self, _watcher: ProcessId, subject: ProcessId, _now: Time) -> bool {
+            let mut q = self.queries.get();
+            q[subject.index()] += 1;
+            self.queries.set(q);
+            self.suspect.get()
+        }
+
+        fn len(&self) -> usize {
+            3
+        }
+    }
+
+    #[test]
+    fn trust_gated_edge_is_queried_until_first_trust_then_only_to_eat() {
+        // p1 lacks the fork it shares with p0, so every `try_eat` asks the
+        // oracle about p0; `refresh_trust` adds one query per step only
+        // until p0 is first seen trusted.
+        let fd = CountingFd { suspect: true.into(), ..CountingFd::default() };
+        let mut core = ForkCore::new(p(1), &[p(0)], SuspicionPolicy::TrustGated);
+        let mut io = DiningIo::new(p(1), Time(0), &fd);
+        core.hungry(&mut io, wrap);
+        assert_eq!(core.phase(), DinerPhase::Hungry, "pre-trust suspicion must not grant");
+        assert_eq!(fd.queries(0), 2, "refresh + try_eat");
+        core.on_tick(&mut DiningIo::new(p(1), Time(1), &fd));
+        assert_eq!(core.phase(), DinerPhase::Hungry);
+        assert_eq!(fd.queries(0), 4);
+        // First unsuspected query: the edge becomes trusted.
+        fd.suspect.set(false);
+        core.on_tick(&mut DiningIo::new(p(1), Time(2), &fd));
+        assert!(core.edges[0].ever_trusted);
+        assert_eq!(fd.queries(0), 6);
+        // Suspicion after trust now satisfies the edge; refresh no longer
+        // queries, so the step costs only the `try_eat` query.
+        fd.suspect.set(true);
+        core.on_tick(&mut DiningIo::new(p(1), Time(3), &fd));
+        assert_eq!(core.phase(), DinerPhase::Eating);
+        assert_eq!(core.suspicion_eats, 1);
+        assert_eq!(fd.queries(0), 7);
+    }
+
+    #[test]
+    fn trusted_direct_edge_is_never_requeried_by_refresh() {
+        // p1 holds the fork it shares with p2, so only `refresh_trust` ever
+        // asks about p2; p0 holds the fork shared with p1, so every hungry
+        // `try_eat` asks about p0 as well.
+        let fd = CountingFd::default();
+        let mut d = WfDxDining::new(p(1), &[p(0), p(2)]);
+        d.on_tick(&mut DiningIo::new(p(1), Time(0), &fd));
+        assert_eq!((fd.queries(0), fd.queries(2)), (1, 1), "first refresh trusts both");
+        for t in 1..10 {
+            d.on_tick(&mut DiningIo::new(p(1), Time(t), &fd));
+        }
+        d.hungry(&mut DiningIo::new(p(1), Time(10), &fd));
+        assert_eq!(d.phase(), DinerPhase::Hungry, "waits for p0's fork");
+        d.on_tick(&mut DiningIo::new(p(1), Time(11), &fd));
+        d.on_message(&mut DiningIo::new(p(1), Time(12), &fd), p(2), request(1, 2));
+        assert_eq!(fd.queries(2), 1, "a trusted edge with its fork in hand is never re-queried");
+        assert_eq!(fd.queries(0), 3, "the forkless edge is asked once per try_eat");
+        // An edge that was never trusted keeps being asked.
+        let fd = CountingFd { suspect: true.into(), ..CountingFd::default() };
+        let mut d = WfDxDining::new(p(0), &[p(1)]);
+        for t in 0..5 {
+            d.on_tick(&mut DiningIo::new(p(0), Time(t), &fd));
+        }
+        assert_eq!(fd.queries(1), 5);
     }
 }

@@ -22,6 +22,12 @@ use dinefd_sim::{CrashPlan, ProcessId, SplitMix64, Time};
 /// *model* of a detector module: the real artifact it stands for (see
 /// [`crate::heartbeat`]) evolves with local steps; its simulated stand-in
 /// indexes a precomputed timeline by global time instead.
+///
+/// An implementation must be a side-effect-free function of
+/// `(watcher, subject, now)`: callers skip queries whose answer can no
+/// longer change their state (the dining layer stops re-querying an edge
+/// once it has been trusted), so the number and order of calls is not part
+/// of the contract.
 pub trait FdQuery: fmt::Debug {
     /// Does `watcher`'s module currently suspect `subject`?
     fn suspected(&self, watcher: ProcessId, subject: ProcessId, now: Time) -> bool;
@@ -49,14 +55,20 @@ impl MistakePlan {
         MistakePlan::default()
     }
 
-    /// A plan from explicit half-open intervals (must be chronological and
-    /// disjoint).
+    /// A plan from explicit half-open intervals.
+    ///
+    /// # Panics
+    ///
+    /// In every build profile, if the intervals are not chronological,
+    /// disjoint and non-empty: [`MistakePlan::quiet_from`] reads the last
+    /// interval's end as the plan's end, so an unsorted plan would
+    /// under-report the oracle's convergence time.
     pub fn from_intervals(intervals: Vec<(Time, Time)>) -> Self {
-        debug_assert!(
+        assert!(intervals.iter().all(|&(s, e)| s < e), "intervals must be nonempty");
+        assert!(
             intervals.windows(2).all(|w| w[0].1 <= w[1].0),
             "intervals must be sorted/disjoint"
         );
-        debug_assert!(intervals.iter().all(|&(s, e)| s < e), "intervals must be nonempty");
         MistakePlan { intervals }
     }
 
@@ -103,19 +115,40 @@ impl MistakePlan {
 
 /// An omniscient scripted oracle: per-pair mistakes before convergence,
 /// permanent suspicion of crashed processes after a detection lag.
+///
+/// A query costs O(1) once the oracle has converged: the crash side is a
+/// per-subject table, and from [`InjectedOracle::convergence_time`] on the
+/// n²-entry mistake table is never read.
 #[derive(Clone, Debug)]
 pub struct InjectedOracle {
     n: usize,
     crashes: CrashPlan,
-    detection_lag: u64,
     mistakes: Vec<MistakePlan>,
+    /// `suspect_from[s]`: the instant from which every watcher suspects
+    /// `s` (crash time plus detection lag, saturating), `None` if `s`
+    /// never crashes.
+    suspect_from: Vec<Option<Time>>,
+    /// The largest [`MistakePlan::quiet_from`] over all pairs.
+    converged_at: Time,
 }
 
 impl InjectedOracle {
     /// A perfect detector (`P`): zero mistakes, crashed processes suspected
     /// `detection_lag` ticks after crashing.
     pub fn perfect(n: usize, crashes: CrashPlan, detection_lag: u64) -> Self {
-        InjectedOracle { n, crashes, detection_lag, mistakes: vec![MistakePlan::none(); n * n] }
+        let mut suspect_from = vec![None; n];
+        for &(p, t) in crashes.crashes() {
+            if let Some(slot) = suspect_from.get_mut(p.index()) {
+                *slot = Some(Time(t.ticks().saturating_add(detection_lag)));
+            }
+        }
+        InjectedOracle {
+            n,
+            crashes,
+            mistakes: vec![MistakePlan::none(); n * n],
+            suspect_from,
+            converged_at: Time::ZERO,
+        }
     }
 
     /// An eventually perfect detector (`◇P`): every ordered pair gets a
@@ -133,8 +166,9 @@ impl InjectedOracle {
         for w in 0..n {
             for s in 0..n {
                 if w != s {
-                    oracle.mistakes[w * n + s] =
-                        MistakePlan::random(rng, convergence, max_mistakes, max_len);
+                    let plan = MistakePlan::random(rng, convergence, max_mistakes, max_len);
+                    oracle.converged_at = oracle.converged_at.max(plan.quiet_from());
+                    oracle.mistakes[w * n + s] = plan;
                 }
             }
         }
@@ -156,6 +190,7 @@ impl InjectedOracle {
             for s in 0..n {
                 if w != s && trust_by > Time::ZERO {
                     let until = Time(rng.range(1, trust_by.ticks()));
+                    oracle.converged_at = oracle.converged_at.max(until);
                     oracle.mistakes[w * n + s] =
                         MistakePlan::from_intervals(vec![(Time::ZERO, until)]);
                 }
@@ -167,7 +202,15 @@ impl InjectedOracle {
     /// Overrides the mistake plan of one ordered pair (adversarial setups).
     pub fn set_mistakes(&mut self, watcher: ProcessId, subject: ProcessId, plan: MistakePlan) {
         assert_ne!(watcher, subject);
-        self.mistakes[watcher.index() * self.n + subject.index()] = plan;
+        let (new_end, slot) = (plan.quiet_from(), watcher.index() * self.n + subject.index());
+        let old_end = std::mem::replace(&mut self.mistakes[slot], plan).quiet_from();
+        if new_end >= self.converged_at {
+            self.converged_at = new_end;
+        } else if old_end == self.converged_at {
+            // The replaced plan may have been the last to converge.
+            self.converged_at =
+                self.mistakes.iter().map(MistakePlan::quiet_from).max().unwrap_or(Time::ZERO);
+        }
     }
 
     /// The mistake plan of one ordered pair.
@@ -178,7 +221,7 @@ impl InjectedOracle {
     /// The instant from which the oracle makes no further wrongful
     /// suspicions (its ◇P convergence time).
     pub fn convergence_time(&self) -> Time {
-        self.mistakes.iter().map(MistakePlan::quiet_from).max().unwrap_or(Time::ZERO)
+        self.converged_at
     }
 
     /// The crash plan this oracle is scripted against.
@@ -192,12 +235,11 @@ impl FdQuery for InjectedOracle {
         if watcher == subject {
             return false;
         }
-        if let Some(t) = self.crashes.crash_time(subject) {
-            if now.ticks() >= t.ticks().saturating_add(self.detection_lag) {
-                return true;
-            }
+        if matches!(self.suspect_from[subject.index()], Some(from) if now >= from) {
+            return true;
         }
-        self.mistakes[watcher.index() * self.n + subject.index()].active_at(now)
+        now < self.converged_at
+            && self.mistakes[watcher.index() * self.n + subject.index()].active_at(now)
     }
 
     fn len(&self) -> usize {
@@ -288,6 +330,27 @@ mod tests {
         assert!(o.suspected(p(0), p(1), Time(34)));
         assert!(!o.suspected(p(0), p(1), Time(35)));
         assert_eq!(o.convergence_time(), Time(35));
+    }
+
+    // `quiet_from` reads the last interval's end, so the first plan below
+    // would report 20 while still suspecting at 30..35: release builds
+    // (`cargo test --release`) must reject it as well.
+    #[test]
+    #[should_panic(expected = "sorted/disjoint")]
+    fn unsorted_intervals_are_rejected_in_every_profile() {
+        MistakePlan::from_intervals(vec![(Time(30), Time(35)), (Time(10), Time(20))]);
+    }
+
+    #[test]
+    #[should_panic(expected = "sorted/disjoint")]
+    fn overlapping_intervals_are_rejected_in_every_profile() {
+        MistakePlan::from_intervals(vec![(Time(10), Time(20)), (Time(19), Time(25))]);
+    }
+
+    #[test]
+    #[should_panic(expected = "nonempty")]
+    fn empty_intervals_are_rejected_in_every_profile() {
+        MistakePlan::from_intervals(vec![(Time(10), Time(10))]);
     }
 
     #[test]
